@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import efgame, forcing, persistency, structures
+from .jsonshape import expect
 from .ordinal import OrdinalParseError, parse_ordinal
 from .structures import make_ab
 
@@ -41,8 +42,7 @@ def _load_condition(path: str | None) -> forcing.Condition:
 
 
 def cmd_build(args) -> int:
-    tasks_raw = _read_json(args.tasks)
-    tasks = [(int(b), parse_ordinal(x)) for b, x in tasks_raw]
+    tasks = forcing.tasks_from_json(_read_json(args.tasks))
     seed = _load_condition(args.seed_condition)
     try:
         built = forcing.build_fragment(seed, tasks, args.budget)
@@ -78,7 +78,8 @@ def cmd_play_persistency(args) -> int:
     if args.adversary == "random":
         challenger = persistency.random_challenges(frag, args.seed)
     elif args.adversary == "script":
-        moves = [parse_ordinal(s) for s in _read_json(args.script)]
+        script = expect(_read_json(args.script), list, "a challenge script", persistency.PersistencyError)
+        moves = [parse_ordinal(s) for s in script]
         challenger = persistency.scripted_challenges(moves)
     else:
         challenger = _interactive_persistency_challenger(frag)

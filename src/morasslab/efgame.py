@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from .jsonshape import expect
 from .ordinal import OrdinalCNF, parse_ordinal, random_ordinal_below, render_ordinal
 from .persistency import PFunc, morass_strategy
 from .structures import (
@@ -28,6 +29,7 @@ from .structures import (
     element_sort_key,
     element_to_json,
     enumerate_layer,
+    extends_partial_iso,
     normalize_u,
     project,
 )
@@ -78,7 +80,12 @@ def play_ef(
     exists_player,
     config: EFConfig,
 ) -> EFTranscript:
-    """Referee the game; any illegal response loses at that round with a reason."""
+    """Referee the game; any illegal response loses at that round with a reason.
+
+    The previous map has passed the full check, so each round checks only
+    the new pairs with ``extends_partial_iso``; when they break the map,
+    ``check_partial_iso_report`` on the whole map gives the reason.
+    """
     if a_struct.frag is not b_struct.frag and a_struct.frag != b_struct.frag:
         raise EFGameError("the two structures must share a fragment")
     played: list[EFRound] = []
@@ -98,10 +105,8 @@ def play_ef(
             reason = "challenge on the first structure not covered by the domain"
         elif any(y not in set(psi.values()) for y in cb):
             reason = "challenge on the second structure not covered by the range"
-        else:
-            problems = check_partial_iso_report(psi, a_struct, b_struct)
-            if problems:
-                reason = problems[0]
+        elif not extends_partial_iso(prev, psi, a_struct, b_struct):
+            reason = check_partial_iso_report(psi, a_struct, b_struct)[0]
         if reason is not None:
             return EFTranscript(tuple(played), loss_at=j, reason=reason)
         response = tuple(sorted(psi.items(), key=lambda kv: element_sort_key(kv[0])))
@@ -375,8 +380,14 @@ def transcript_to_json(transcript: EFTranscript, struct: CStructure) -> dict:
 def script_from_json(struct: CStructure, obj) -> list[tuple[tuple, tuple]]:
     """Parse a challenge script: a list of {"a": [elements], "b": [elements]}."""
     moves = []
-    for rnd in obj:
-        ca = tuple(element_from_json(struct, e) for e in rnd.get("a", ()))
-        cb = tuple(element_from_json(struct, e) for e in rnd.get("b", ()))
+    for rnd in expect(obj, list, "a challenge script", EFGameError):
+        expect(rnd, dict, "a scripted round", EFGameError)
+        ca, cb = (
+            tuple(
+                element_from_json(struct, e)
+                for e in expect(rnd.get(side, []), list, "a round's challenge", EFGameError)
+            )
+            for side in ("a", "b")
+        )
         moves.append((ca, cb))
     return moves

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from .jsonshape import expect
 from .morass import (
     LevelData,
     MapNF,
@@ -456,10 +457,19 @@ def condition_to_json(p: Condition) -> dict:
 
 
 def condition_from_json(obj: dict) -> Condition:
-    blocks = BlockMap.from_dict(
-        {int(b): parse_ordinal(r) for b, r in obj["blocks"].items()}
-    )
+    expect(obj, dict, "a condition", InvalidConditionError)
+    raw_blocks = expect(obj["blocks"], dict, "a condition's blocks", InvalidConditionError)
+    blocks = BlockMap.from_dict({int(b): parse_ordinal(r) for b, r in raw_blocks.items()})
     return Condition(fragment_from_json(obj["frag"]), blocks)
+
+
+def tasks_from_json(obj: list) -> list[tuple[int, OrdinalCNF]]:
+    """A task list: a JSON array of [block, ordinal] pairs."""
+    tasks = []
+    for task in expect(obj, list, "a task list", ForcingError):
+        block, target = expect(task, list, "a task", ForcingError)
+        tasks.append((expect(block, int, "a task's block", ForcingError), parse_ordinal(target)))
+    return tasks
 
 
 def embedding_to_json(emb: PairEmbedding) -> list:

@@ -27,20 +27,26 @@ def normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-def union(a: Iterable[Interval], b: Iterable[Interval]) -> tuple[Interval, ...]:
-    return normalize(list(a) + list(b))
-
-
 def intersect(a: Iterable[Interval], b: Iterable[Interval]) -> tuple[Interval, ...]:
+    """Intersection by one merge pass over the two normalized unions.
+
+    The pieces come out sorted and disjoint, and two of them are separated
+    by a gap of one union or the other, so the result is normalized.
+    """
     na, nb = normalize(a), normalize(b)
     out = []
-    for alo, ahi in na:
-        for blo, bhi in nb:
-            lo = max(alo, blo)
-            hi = min(ahi, bhi)
-            if lo < hi:
-                out.append((lo, hi))
-    return normalize(out)
+    i = j = 0
+    while i < len(na) and j < len(nb):
+        (alo, ahi), (blo, bhi) = na[i], nb[j]
+        lo = max(alo, blo)
+        hi = min(ahi, bhi)
+        if lo < hi:
+            out.append((lo, hi))
+        if ahi < bhi:
+            i += 1
+        else:
+            j += 1
+    return tuple(out)
 
 
 def intersect_all(unions: Iterable[Iterable[Interval]]) -> tuple[Interval, ...]:
@@ -67,6 +73,3 @@ def first_point(intervals: Iterable[Interval]) -> OrdinalCNF | None:
     norm = normalize(intervals)
     return norm[0][0] if norm else None
 
-
-def contains(intervals: Iterable[Interval], x: OrdinalCNF) -> bool:
-    return any(lo <= x < hi for lo, hi in normalize(intervals))

@@ -12,11 +12,12 @@ the least common cover level ``mu``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from . import intervals
 from .intervals import Interval
+from .jsonshape import expect
 from .ordinal import (
     ZERO,
     OrdinalCNF,
@@ -279,6 +280,19 @@ class MorassFragment:
             return (ident,)
         return tuple(sorted({ident, shift}, key=MapNF.sort_key))
 
+    @cached_property
+    def _step_errors(self) -> tuple[str | None, ...]:
+        """Per successor step, the message successor_family raises there, or None."""
+        errors: list[str | None] = []
+        for alpha in range(self.height):
+            try:
+                self.successor_family(alpha)
+            except MorassError as exc:
+                errors.append(str(exc))
+            else:
+                errors.append(None)
+        return tuple(errors)
+
     def check_element(self, xi: OrdinalCNF) -> None:
         if not xi < self.top_theta:
             raise ElementRangeError(f"{xi} outside the universe [0, {self.top_theta})")
@@ -509,6 +523,10 @@ def mu(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:
     Descend from the top: at each successor step the pair of current
     predecessors must lie in the range of one common map to continue;
     the least reachable level is returned (at worst the top itself).
+    On canonical fragments the step beta -> beta+1 covers a pair exactly
+    when both lie below theta_beta (the identity's range) or both lie in
+    the union of [0, gamma_beta) and [theta_beta, theta_{beta+1}) (the
+    shift's range).
     """
     frag.check_element(xi)
     frag.check_element(eta)
@@ -517,10 +535,27 @@ def mu(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:
     least = frag.height
     for beta in range(frag.height - 1, -1, -1):
         x, y = vx[beta + 1], vy[beta + 1]
-        if not any(m.covers(x) and m.covers(y) for m in frag.successor_family(beta)):
+        if frag.successor_families is None:
+            covered = _canonical_step_covers(frag, beta, x, y)
+        else:
+            covered = any(m.covers(x) and m.covers(y) for m in frag.successor_family(beta))
+        if not covered:
             break
         least = beta
     return least
+
+
+def _canonical_step_covers(frag: MorassFragment, beta: int, x: OrdinalCNF, y: OrdinalCNF) -> bool:
+    """Whether the identity or the shift of step beta has both x and y in its range."""
+    error = frag._step_errors[beta]
+    if error is not None:
+        raise MorassError(error)
+    level = frag.levels[beta]
+    theta, gamma = level.theta.terms, level.gamma.terms
+    x, y = x.terms, y.terms
+    return (x < theta and y < theta) or (
+        (x < gamma or x >= theta) and (y < gamma or y >= theta)
+    )
 
 
 def dominates(
@@ -574,11 +609,13 @@ def map_to_json(m: MapNF) -> dict:
 
 
 def map_from_json(obj: dict) -> MapNF:
+    expect(obj, dict, "a map", MorassError)
+    pieces = []
+    for piece in expect(obj["pieces"], list, "a map's pieces", MorassError):
+        lo, hi, img = expect(piece, list, "a map piece", MorassError)
+        pieces.append((parse_ordinal(lo), parse_ordinal(hi), parse_ordinal(img)))
     return MapNF(
-        tuple(
-            (parse_ordinal(lo), parse_ordinal(hi), parse_ordinal(img))
-            for lo, hi, img in obj["pieces"]
-        ),
+        tuple(pieces),
         parse_ordinal(obj["source"]),
         parse_ordinal(obj["target"]),
     )
@@ -605,21 +642,26 @@ def fragment_to_json(frag: MorassFragment) -> dict:
 
 
 def fragment_from_json(obj: dict) -> MorassFragment:
+    expect(obj, dict, "a fragment", MorassError)
     families = None
     if "successor_families" in obj:
         families = tuple(
-            tuple(map_from_json(m) for m in fam) for fam in obj["successor_families"]
+            tuple(map_from_json(m) for m in expect(fam, list, "a successor family", MorassError))
+            for fam in expect(obj["successor_families"], list, "the successor families", MorassError)
         )
-    return MorassFragment(
-        int(obj["height"]),
-        tuple(
+    levels = []
+    for lv in expect(obj["levels"], list, "a fragment's levels", MorassError):
+        expect(lv, dict, "a level", MorassError)
+        levels.append(
             LevelData(
                 parse_ordinal(lv["theta"]),
                 parse_ordinal(lv["gamma"]),
                 parse_ordinal(lv["eta"]),
             )
-            for lv in obj["levels"]
-        ),
+        )
+    return MorassFragment(
+        expect(obj["height"], int, "a fragment's height", MorassError),
+        tuple(levels),
         parse_ordinal(obj["top_theta"]),
         families,
     )

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from functools import total_ordering
 
+from .jsonshape import expect
+
 
 class OrdinalError(ValueError):
     pass
@@ -136,7 +138,7 @@ _TERM_RE = re.compile(r"w(?:\^(\d+))?(?:\*(\d+))?\Z")
 
 def parse_ordinal(text: str) -> OrdinalCNF:
     """Parse the rendering grammar ``w^k*c + ... + n``; strict about canonical form."""
-    s = text.strip()
+    s = expect(text, str, "an ordinal", OrdinalParseError).strip()
     if s == "0":
         return ZERO
     if not s:

@@ -111,6 +111,18 @@ def fiber_bound(
     return intervals.first_point(intervals.intersect_all(constraints))
 
 
+def _terms_vector(frag: MorassFragment, xi: OrdinalCNF) -> tuple:
+    return tuple(x.terms for x in predecessor_vector(frag, xi))
+
+
+def _preceq_at_vectors(height: int, alpha: int, vx: tuple, vy: tuple) -> bool:
+    """preceq_at on two predecessor vectors of CNF terms."""
+    if any(a > b for a, b in zip(vx, vy)):
+        return False
+    pin = min(alpha, height)
+    return vx[pin] == vy[pin]
+
+
 def in_family(frag: MorassFragment, f: PFunc) -> bool:
     """Membership test for the fragment's persistent family.
 
@@ -120,23 +132,13 @@ def in_family(frag: MorassFragment, f: PFunc) -> bool:
     """
     for k, _ in f.entries:
         frag.check_element(k)
-    vecs = {
-        k: tuple(x.terms for x in predecessor_vector(frag, k)) for k, _ in f.entries
-    }
+    vecs = {k: _terms_vector(frag, k) for k, _ in f.entries}
     height = frag.height
-
-    def _preceq_at(alpha: int, x: OrdinalCNF, y: OrdinalCNF) -> bool:
-        vx, vy = vecs[x], vecs[y]
-        if any(a > b for a, b in zip(vx, vy)):
-            return False
-        pin = min(alpha, height)
-        return vx[pin] == vy[pin]
-
     for eta, alpha in f.entries:
         for xi, val in f.entries:
             if xi == eta:
                 continue
-            if _preceq_at(alpha, xi, eta) and val != alpha:
+            if _preceq_at_vectors(height, alpha, vecs[xi], vecs[eta]) and val != alpha:
                 return False
     fibers: dict[int, set[OrdinalCNF]] = {}
     for k, v in f.entries:
@@ -145,6 +147,27 @@ def in_family(frag: MorassFragment, f: PFunc) -> bool:
         if len(members) > 1 and fiber_bound(frag, frozenset(members)) is None:
             return False
     return True
+
+
+def admits_key(frag: MorassFragment, f: PFunc, key: OrdinalCNF, value: int) -> bool:
+    """For f in the family and key outside its domain: whether f plus key -> value is in it.
+
+    Only what the new pair can break is checked: rule (1) in both
+    directions between the key and each old key, and the bound of the
+    key's fiber; ``in_family`` decides the same on the whole extension.
+    """
+    frag.check_element(key)
+    height = frag.height
+    vk = _terms_vector(frag, key)
+    fiber = {key}
+    for xi, val in f.entries:
+        if val == value:
+            fiber.add(xi)
+            continue
+        vx = _terms_vector(frag, xi)
+        if _preceq_at_vectors(height, value, vx, vk) or _preceq_at_vectors(height, val, vk, vx):
+            return False
+    return len(fiber) == 1 or fiber_bound(frag, frozenset(fiber)) is not None
 
 
 def downward_closed_check(frag: MorassFragment, f: PFunc, g: PFunc) -> bool:
@@ -209,7 +232,10 @@ def play_persistency(
 
     Each response must belong to the family, extend every previous
     response, and cover the round's challenge; any failure (including a
-    None response) ends the game as stuck at that round.
+    None response) ends the game as stuck at that round.  The previous
+    response is already a member, so a response adding no key needs no
+    check, one adding one key is checked with ``admits_key``, and one
+    adding several with ``in_family``.
     """
     played: list[tuple[OrdinalCNF, PFunc]] = []
     previous = EMPTY_PFUNC
@@ -221,13 +247,26 @@ def play_persistency(
             isinstance(response, PFunc)
             and response.get(xi) is not None
             and response.extends(previous)
-            and in_family(frag, response)
+            and _extension_in_family(frag, previous, response)
         )
         if not legal:
             return PersistencyTranscript(tuple(played), stuck_at=j)
         played.append((xi, response))
         previous = response
     return PersistencyTranscript(tuple(played))
+
+
+def _extension_in_family(frag: MorassFragment, previous: PFunc, response: PFunc) -> bool:
+    """Membership of a response that extends the member ``previous``."""
+    added = len(response) - len(previous)
+    if added == 0:
+        # a repeated challenge: the response is the previous member itself
+        return True
+    if added > 1:
+        return in_family(frag, response)
+    old = previous.as_dict()
+    ((key, value),) = [(k, v) for k, v in response.entries if k not in old]
+    return admits_key(frag, previous, key, value)
 
 
 class MorassExistsPlayer:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .jsonshape import expect
 from .morass import MorassFragment, predecessor_vector
 from .ordinal import OrdinalCNF, parse_ordinal, render_ordinal
 from .persistency import PFunc, fiber_bound, morass_strategy
@@ -424,6 +425,18 @@ def _validate_element(struct: CStructure, e: CElement) -> str | None:
     return None
 
 
+def _relation_breaks(a_struct: CStructure, b_struct: CStructure, x1, y1, x2, y2):
+    """The relations that hold on (x1, x2) in one expansion and not on (y1, y2) in the other."""
+    if rel_le(a_struct, x1, x2) != rel_le(b_struct, y1, y2):
+        yield f"order relation broken on ({x1!r}, {x2!r})"
+    if rel_e(a_struct, x1, x2) != rel_e(b_struct, y1, y2):
+        yield f"membership link broken on ({x1!r}, {x2!r})"
+    if rel_s(a_struct, x1, x2) != rel_s(b_struct, y1, y2):
+        yield f"projection link broken on ({x1!r}, {x2!r})"
+    if _r_signature(a_struct, x1, x2) != _r_signature(b_struct, y1, y2):
+        yield f"bit relations broken on ({x1!r}, {x2!r})"
+
+
 def check_partial_iso_report(
     psi: Mapping[CElement, CElement], a_struct: CStructure, b_struct: CStructure
 ) -> list[str]:
@@ -445,15 +458,45 @@ def check_partial_iso_report(
             problems.append(f"constant not respected at {x!r} -> {y!r}")
     for x1, y1 in items:
         for x2, y2 in items:
-            if rel_le(a_struct, x1, x2) != rel_le(b_struct, y1, y2):
-                problems.append(f"order relation broken on ({x1!r}, {x2!r})")
-            if rel_e(a_struct, x1, x2) != rel_e(b_struct, y1, y2):
-                problems.append(f"membership link broken on ({x1!r}, {x2!r})")
-            if rel_s(a_struct, x1, x2) != rel_s(b_struct, y1, y2):
-                problems.append(f"projection link broken on ({x1!r}, {x2!r})")
-            if _r_signature(a_struct, x1, x2) != _r_signature(b_struct, y1, y2):
-                problems.append(f"bit relations broken on ({x1!r}, {x2!r})")
+            problems.extend(_relation_breaks(a_struct, b_struct, x1, y1, x2, y2))
     return problems
+
+
+def extends_partial_iso(
+    prev: Mapping[CElement, CElement],
+    psi: Mapping[CElement, CElement],
+    a_struct: CStructure,
+    b_struct: CStructure,
+) -> bool:
+    """For a partial isomorphism prev and a map psi extending it: whether psi is one.
+
+    Only what the new pairs can break is checked: their validity, that
+    their images keep the map injective, the constant, and the relations
+    on every pair of elements that contains a new one.  Elements are
+    validated in the order ``check_partial_iso_report`` uses, so an
+    element whose layer cannot be built raises the same error there and
+    here.
+    """
+    items = list(psi.items())
+    new = [(x, y) for x, y in items if x not in prev]
+    images = set(prev.values())
+    for _, y in new:
+        if y in images:
+            return False
+        images.add(y)
+    for x, y in new:
+        if _validate_element(a_struct, x) or _validate_element(b_struct, y):
+            return False
+    c_a, c_b = a_struct.constant, b_struct.constant
+    if any((x == c_a) != (y == c_b) for x, y in new):
+        return False
+    for x1, y1 in new:
+        for x2, y2 in items:
+            if any(_relation_breaks(a_struct, b_struct, x1, y1, x2, y2)):
+                return False
+            if any(_relation_breaks(a_struct, b_struct, x2, y2, x1, y1)):
+                return False
+    return True
 
 
 def check_partial_iso(
@@ -598,11 +641,17 @@ def element_to_json(struct: CStructure, e: CElement):
 
 
 def element_from_json(struct: CStructure, obj) -> CElement:
+    expect(obj, dict, "an element", StructureError)
     if "ord" in obj:
         return OrdElement(parse_ordinal(obj["ord"]))
-    u = normalize_u(parse_ordinal(s) for s in obj["layer"])
+    u = normalize_u(
+        parse_ordinal(s) for s in expect(obj["layer"], list, "an element's layer", StructureError)
+    )
     layer = enumerate_layer(struct, u)
-    members = frozenset(layer.index_of_bitstring(s) for s in obj["members"])
+    members = frozenset(
+        layer.index_of_bitstring(expect(s, str, "a member bitstring", StructureError))
+        for s in expect(obj["members"], list, "an element's members", StructureError)
+    )
     return SetElement(u, members)
 
 

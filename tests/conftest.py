@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from morasslab.forcing import Condition, BlockMap, build_fragment, seed_condition
+from morasslab.forcing import Condition, BlockMap, build_fragment, extend_to_cover, seed_condition
 from morasslab.morass import LevelData, MorassFragment
-from morasslab.ordinal import OMEGA, ZERO, omega_times, parse_ordinal
+from morasslab.ordinal import OMEGA, ZERO, OrdinalCNF, omega_times, parse_ordinal
 
 
 def o(text: str):
@@ -57,3 +57,32 @@ def built_conditions():
     for _ in range(12):
         out.append(build_fragment(seed_condition(), random_tasks(rng), 16))
     return out
+
+
+def grown_condition(rng: random.Random, height: int, max_top: int = 80):
+    """A condition of the given height and a top of at most w*max_top.
+
+    It grows from the seed one random covering target at a time and starts
+    again when it jumps over the height or outgrows the top.
+    """
+    limit = omega_times(max_top)
+    while True:
+        cond = seed_condition()
+        for _ in range(4 * height):
+            if cond.frag.height >= height or cond.top_theta > limit:
+                break
+            target = (rng.randrange(8), omega_times(rng.randrange(4), rng.randrange(12)))
+            cond = extend_to_cover(cond, target, 16)
+        if cond.frag.height == height and cond.top_theta <= limit:
+            return cond
+
+
+def block_points(frag):
+    """Points in every w-block of a universe w*k, and at and just above every split and theta."""
+    ((exp, k),) = frag.top_theta.terms
+    assert exp == 1, "grown universes are w*k"
+    points = {omega_times(j, i) for j in range(k) for i in (0, 1, 5)}
+    for level in frag.levels:
+        for bound in (level.gamma, level.theta):
+            points.update(x for x in (bound, bound + OrdinalCNF.from_int(1)) if x < frag.top_theta)
+    return sorted(points, key=lambda x: x.terms)

@@ -9,13 +9,15 @@ games through exhaustive tree search.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product
 
+from morasslab.intervals import normalize
 from morasslab.morass import MorassFragment, compose, identity_map
 from morasslab.ordinal import OrdinalCNF, ZERO, omega_times
 from morasslab.persistency import PFunc, in_family
-from morasslab.structures import check_partial_iso, element_sort_key
+from morasslab.structures import check_partial_iso, check_partial_iso_report, element_sort_key
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,22 @@ def oracle_left_subtract(a: OrdinalCNF, b: OrdinalCNF, k_max: int = 9, m_max: in
             if oracle_add(a, c) == b:
                 hits.append(c)
     return hits
+
+
+# ---------------------------------------------------------------------------
+# Interval unions.
+
+
+def oracle_intersect(a, b):
+    """Intersection of two interval unions by comparing every pair of intervals."""
+    out = []
+    for alo, ahi in normalize(a):
+        for blo, bhi in normalize(b):
+            lo = max(alo, blo)
+            hi = min(ahi, bhi)
+            if lo < hi:
+                out.append((lo, hi))
+    return normalize(out)
 
 
 # ---------------------------------------------------------------------------
@@ -239,3 +257,20 @@ def ef_game_solver(a_struct, b_struct, pool, rounds: int):
         return True
 
     return win, freeze
+
+
+def oracle_ef_round_reason(prev: dict, psi, ca, cb, a_struct, b_struct):
+    """The back-and-forth referee's verdict on one round, checking the whole map.
+
+    None for a legal response, else the reason the round is lost.
+    """
+    if not isinstance(psi, Mapping):
+        return "response is not a mapping"
+    if any(psi.get(x) != y for x, y in prev.items()):
+        return "response does not extend the previous one"
+    if any(x not in psi for x in ca):
+        return "challenge on the first structure not covered by the domain"
+    if any(y not in set(psi.values()) for y in cb):
+        return "challenge on the second structure not covered by the range"
+    problems = check_partial_iso_report(psi, a_struct, b_struct)
+    return problems[0] if problems else None

@@ -164,6 +164,31 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     assert cli.main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["build"], 5),
+        (["build"], [5]),
+        (["build"], [[0, 5]]),
+        (["build"], [["0", "w"]]),
+        (["validate"], {"frag": 3, "blocks": {}}),
+        (["validate"], []),
+        (["validate"], {"frag": {"height": 0, "levels": [], "top_theta": "w"}, "blocks": []}),
+        (["validate"], {"frag": {"height": 1, "levels": ["w"], "top_theta": "w"}, "blocks": {}}),
+        (["play-persistency", "--adversary", "script", "--script"], 5),
+        (["play-ef", "--adversary", "script", "--script"], [5]),
+        (["play-ef", "--adversary", "script", "--script"], [{"a": 3}]),
+        (["play-ef", "--adversary", "script", "--script"], [{"a": [{"layer": "0", "members": [1]}]}]),
+    ],
+)
+def test_malformed_json_shapes_are_input_errors(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    write_json(path, content)
+    assert cli.main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be a JSON" in err and err.count("\n") == 1, err
+
+
 def test_interactive_persistency(monkeypatch, capsys):
     answers = iter(["bogus", "3", "5"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))

@@ -16,12 +16,14 @@ from morasslab.efgame import (
 from morasslab.structures import (
     OrdElement,
     SetElement,
+    check_partial_iso_report,
     classify_partial_iso,
     enumerate_layer,
+    extends_partial_iso,
     make_ab,
     normalize_u,
 )
-from oracles import all_challenge_sequences, ef_game_solver
+from oracles import all_challenge_sequences, ef_game_solver, oracle_ef_round_reason
 
 from conftest import o
 
@@ -199,3 +201,118 @@ def test_exhaustive_tree_confirms_winning_strategy(ab):
             psi = player.respond(ca, cb)
             position = freeze(psi)
             assert win(position, r + 1), (seq, r)
+
+
+def test_referee_checks_old_elements_against_new_ones(frag0):
+    # only the pair (old ordinal, new layer element) tells the two maps apart
+    a_struct, b_struct, _ = make_ab(frag0, [o("0"), o("1")])
+    w, on_w = OrdElement(o("w")), SetElement((o("w"),))
+    responses = iter([{w: w}, {w: w, on_w: SetElement((o("w+1"),))}])
+
+    class Player:
+        def respond(self, ca, cb):
+            return next(responses)
+
+    adv = scripted_forall([((w,), ()), ((on_w,), ())])
+    t = play_ef(a_struct, b_struct, adv, Player(), EFConfig(rounds=2, move_cap=1))
+    assert (t.loss_at, t.reason) == (1, "membership link broken on (Ord(w), Set[w][])")
+
+
+class _PlantingPlayer:
+    """The defender, with its response at round ``at`` replaced by ``plant(prev, psi)``.
+
+    Every round's challenges and response are recorded.
+    """
+
+    def __init__(self, a_struct, b_struct, at, plant):
+        self.inner = ef_exists_strategy(a_struct, b_struct)
+        self.at, self.plant = at, plant
+        self.rounds = []
+
+    def respond(self, ca, cb):
+        psi = self.inner.respond(ca, cb)
+        if len(self.rounds) == self.at:
+            prev = dict(self.rounds[-1][2]) if self.rounds else {}
+            psi = self.plant(prev, psi)
+        self.rounds.append((ca, cb, psi))
+        return psi
+
+
+def _planters(a_struct, rng):
+    """Ways to spoil a response; each returns the response unchanged when it cannot."""
+
+    def new_keys(prev, psi):
+        return [x for x in psi if x not in prev]
+
+    def swap_images(prev, psi):
+        new = new_keys(prev, psi)
+        if len(new) < 2:
+            return psi
+        x1, x2 = rng.sample(new, 2)
+        return {**psi, x1: psi[x2], x2: psi[x1]}
+
+    def collide(prev, psi):
+        new = new_keys(prev, psi)
+        if not new or len(psi) < 2:
+            return psi
+        x = rng.choice(new)
+        return {**psi, x: psi[rng.choice([k for k in psi if k != x])]}
+
+    def break_constant(prev, psi):
+        c = a_struct.constant
+        others = [x for x in new_keys(prev, psi) if x != c]
+        if c not in psi or c in prev or not others:
+            return psi
+        x = rng.choice(others)
+        return {**psi, c: psi[x], x: psi[c]}
+
+    def invalid_image(prev, psi):
+        new = new_keys(prev, psi)
+        if not new:
+            return psi
+        x = rng.choice(new)
+        y = psi[x]
+        if isinstance(y, OrdElement):
+            bad = OrdElement(a_struct.frag.top_theta)
+        else:
+            bad = SetElement(y.u, y.members | {len(enumerate_layer(a_struct, y.u))})
+        return {**psi, x: bad}
+
+    return {
+        "none": lambda prev, psi: psi,
+        "swap": swap_images,
+        "collide": collide,
+        "constant": break_constant,
+        "invalid": invalid_image,
+    }
+
+
+def test_delta_referee_matches_full_check(frag0, built_conditions):
+    rng = random.Random(1309)
+    reasons = set()
+    for frag in [frag0] + [cond.frag for cond in built_conditions[:3]]:
+        a_struct, b_struct, _ = make_ab(frag, [o("0"), o("1")])
+        for kind, plant in _planters(a_struct, rng).items():
+            for _ in range(3):
+                config = EFConfig(rounds=rng.randint(3, 6), move_cap=rng.randint(2, 4))
+                adv = random_forall(a_struct, b_struct, config, seed=rng.randrange(10**6))
+                at = 0 if kind == "constant" else rng.randrange(config.rounds)
+                player = _PlantingPlayer(a_struct, b_struct, at, plant)
+                t = play_ef(a_struct, b_struct, adv, player, config)
+                # replay every round with the referee that checks the whole map
+                expected = (None, None)
+                prev = {}
+                for j, (ca, cb, psi) in enumerate(player.rounds):
+                    if all(psi.get(x) == y for x, y in prev.items()):
+                        full = not check_partial_iso_report(psi, a_struct, b_struct)
+                        assert extends_partial_iso(prev, psi, a_struct, b_struct) == full
+                    reason = oracle_ef_round_reason(prev, psi, ca, cb, a_struct, b_struct)
+                    if reason is not None:
+                        expected = (j, reason)
+                        break
+                    prev = dict(psi)
+                assert (t.loss_at, t.reason) == expected, kind
+                reasons.add(t.reason)
+    for phrase in ("map is not injective", "outside the layer catalog", "constant not respected", "broken on"):
+        assert any(phrase in r for r in reasons if r), phrase
+    assert None in reasons

@@ -1,6 +1,9 @@
 import random
+from functools import lru_cache
 
 import pytest
+
+import oracles
 
 from morasslab.morass import (
     ElementRangeError,
@@ -36,7 +39,7 @@ from oracles import (
     sample_grid,
 )
 
-from conftest import o
+from conftest import block_points, grown_condition, o
 
 
 def test_make_shift_examples():
@@ -199,6 +202,48 @@ def test_mu_matches_exhaustive_search(tower3, mixed_fragment):
             x = random_ordinal_below(frag.top_theta, rng)
             y = random_ordinal_below(frag.top_theta, rng)
             assert mu(frag, x, y) == oracle_mu(frag, x, y)
+
+
+def _with_explicit_families(frag):
+    """The same tower with its successor families spelled out, so mu composes maps."""
+    families = tuple(frag.successor_family(alpha) for alpha in range(frag.height))
+    return MorassFragment(frag.height, frag.levels, frag.top_theta, families)
+
+
+def test_mu_canonical_matches_successor_maps_and_oracle(monkeypatch):
+    words = oracles.family_words
+    monkeypatch.setattr(
+        oracles, "family_words", lru_cache(maxsize=None)(lambda f, a, b: tuple(words(f, a, b)))
+    )
+    rng = random.Random(1308)
+    levels_seen = set()
+    for height in range(1, 11):
+        for _ in range(2):
+            frag = grown_condition(rng, height).frag
+            explicit = _with_explicit_families(frag)
+            points = block_points(frag)
+            points += [random_ordinal_below(frag.top_theta, rng) for _ in range(10)]
+            for _ in range(40):
+                x, y = rng.choice(points), rng.choice(points)
+                level = mu(frag, x, y)
+                assert level == mu(explicit, x, y) == oracles.oracle_mu(frag, x, y), (x, y)
+                levels_seen.add((height, level))
+    # the descent stops at every level somewhere, the bottom and the top included
+    assert {level for _, level in levels_seen} == set(range(11))
+
+
+def test_mu_raises_when_declared_eta_disagrees():
+    # level 0 is w split at 0, so its shift reaches w*2, but theta_1 is declared w*3
+    levels = (LevelData(o("w"), ZERO, o("w")), LevelData(o("w*3"), ZERO, o("w*3")))
+    frag = MorassFragment(2, levels, o("w*6"))
+    for _ in range(2):
+        with pytest.raises(MorassError):
+            mu(frag, o("1"), o("2"))
+    # a descent that stops above the broken step never reaches it
+    assert mu(frag, o("1"), o("w*4")) == 2
+    top_broken = MorassFragment(1, (LevelData(o("w"), ZERO, o("w")),), o("w*3"))
+    with pytest.raises(MorassError):
+        mu(top_broken, o("1"), o("w*2"))
 
 
 def test_dominates(frag0):

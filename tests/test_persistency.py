@@ -8,6 +8,7 @@ from morasslab.persistency import (
     EMPTY_PFUNC,
     PFunc,
     PersistencyError,
+    admits_key,
     broken_player,
     claim_check,
     downward_closed_check,
@@ -23,7 +24,7 @@ from morasslab.persistency import (
 )
 from oracles import oracle_in_family, oracle_preceq, sample_grid
 
-from conftest import o
+from conftest import block_points, grown_condition, o
 
 
 def test_pfunc_basics():
@@ -95,6 +96,53 @@ def test_downward_closure(frag0):
         g = PFunc.from_pairs(pairs)
         keep = [k for k, _ in g.entries if rng.random() < 0.5]
         assert downward_closed_check(frag0, g.restrict(keep), g)
+
+
+def test_admits_key_matches_in_family_on_extension_chains():
+    rng = random.Random(77)
+    accepted = rejected = 0
+    for height in range(1, 9):
+        frag = grown_condition(rng, height).frag
+        points = block_points(frag)
+        points += [random_ordinal_below(frag.top_theta, rng) for _ in range(20)]
+        f = EMPTY_PFUNC
+        for _ in range(40):
+            key = rng.choice(points)
+            if f.get(key) is not None:
+                continue
+            used = sorted({v for _, v in f.entries})
+            if used and rng.random() < 0.5:
+                value = rng.choice(used)  # grows a fiber, whose bound is then checked
+            else:
+                value = rng.randint(0, f.max_value() + 2)
+            extended = PFunc.from_pairs(f.entries + ((key, value),))
+            verdict = admits_key(frag, f, key, value)
+            assert verdict == in_family(frag, extended), (f.entries, key, value)
+            if verdict:
+                f = extended
+                accepted += 1
+            else:
+                rejected += 1
+    assert accepted >= 100 and rejected >= 50
+
+
+def test_referee_one_key_and_wider_responses(frag0):
+    # {w+3: 0, 3: 1} is outside the family: 3 sits below w+3 with equal level-0 predecessors
+    script = scripted_challenges([o("w+3"), o("3")])
+    responses = {
+        "one key, legal": [[(o("w+3"), 0)], [(o("w+3"), 0), (o("3"), 0)]],
+        "one key, illegal": [[(o("w+3"), 0)], [(o("w+3"), 0), (o("3"), 1)]],
+        "two keys, legal": [[(o("w+3"), 0), (o("3"), 0)]] * 2,
+        "two keys, illegal": [[(o("w+3"), 0), (o("3"), 1)]] * 2,
+    }
+    for name, answers in responses.items():
+        moves = iter(PFunc.from_pairs(pairs) for pairs in answers)
+        t = play_persistency(frag0, script, greedy_strategy(lambda pos, xi: next(moves)), 2)
+        expected = next(
+            (j for j, pairs in enumerate(answers) if not in_family(frag0, PFunc.from_pairs(pairs))),
+            None,
+        )
+        assert t.stuck_at == expected, name
 
 
 def test_degenerate_zero_round_game(frag0):
