@@ -47,8 +47,6 @@ from .forcing import (
 from .persistency import (
     PFunc,
     claim_check,
-    downward_closed_check,
-    greedy_strategy,
     in_family,
     morass_strategy,
     play_persistency,

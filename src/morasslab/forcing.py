@@ -23,8 +23,6 @@ from .morass import (
     family,
     fragment_from_json,
     fragment_to_json,
-    identity_map,
-    make_shift,
     validate_fragment,
 )
 from .ordinal import OMEGA, ZERO, OrdinalCNF, add, left_subtract, nat_multiply, parse_ordinal, render_ordinal
@@ -51,7 +49,7 @@ class InterleavedDifferencesError(AmalgamationError):
 
 
 class BudgetExhaustedError(ForcingError):
-    """extend_to_cover ran out of steps before reaching the target."""
+    """extend_to_cover cannot reach the target: too few steps, or none would do."""
 
 
 class InvalidConditionError(ForcingError):
@@ -262,7 +260,7 @@ def validate_condition(p: Condition) -> ValidationReport:
 
 
 def isomorphic(p: Condition, q: Condition) -> bool:
-    """Same levels and families; the block maps may differ."""
+    """Same fragment; the block maps may differ."""
     return p.frag == q.frag
 
 
@@ -279,23 +277,13 @@ def leq(q: Condition, p: Condition) -> bool:
         return False
     if p.top_theta != q.frag.theta_at(p.delta):
         return False
-    if p.frag.successor_families is not None or q.frag.successor_families is not None:
-        for alpha in range(p.delta):
-            if p.frag.successor_family(alpha) != q.frag.successor_family(alpha):
-                return False
     target = p.embedding()
     iq = q.embedding()
     return any(iq.compose_map(h) == target for h in family(q.frag, p.delta, q.delta))
 
 
-def _extend_families(frag: MorassFragment, new_level: LevelData, new_top: OrdinalCNF) -> MorassFragment:
-    families = frag.successor_families
-    if families is not None:
-        ident = identity_map(new_level.theta, new_top)
-        shift = make_shift(new_level.theta, new_level.gamma)
-        fam = (ident,) if shift == ident else tuple(sorted({ident, shift}, key=MapNF.sort_key))
-        families = families + (fam,)
-    return MorassFragment(frag.height + 1, frag.levels + (new_level,), new_top, families)
+def _add_level(frag: MorassFragment, new_level: LevelData, new_top: OrdinalCNF) -> MorassFragment:
+    return MorassFragment(frag.height + 1, frag.levels + (new_level,), new_top)
 
 
 def amalgamate(p: Condition, q: Condition) -> Condition:
@@ -327,7 +315,7 @@ def amalgamate(p: Condition, q: Condition) -> Condition:
     theta = p.top_theta
     new_level = LevelData(theta, gamma, eta)
     new_top = add(theta, eta)
-    frag_r = _extend_families(p.frag, new_level, new_top)
+    frag_r = _add_level(p.frag, new_level, new_top)
     return Condition(frag_r, p.blocks.union(q.blocks))
 
 
@@ -341,13 +329,20 @@ def extend_to_cover(
     relocates that material into the target block and amalgamate;
     otherwise extend the target block directly by theta_delta, doubling
     the top order type.  Raises BudgetExhaustedError when `budget` steps
-    do not suffice.
+    do not suffice, and before the first step when no number would: neither
+    step changes the top's leading exponent, and no block exceeds the top.
     """
     beta, xi = target
     if budget < 1:
         raise ForcingError("budget must be at least 1")
     if beta < 0:
         raise ForcingError("negative target block")
+    target_exp, top_exp = _leading_exponent(xi), _leading_exponent(p.top_theta)
+    if target_exp > top_exp and not p.blocks.contains(beta, xi):
+        raise BudgetExhaustedError(
+            f"target ({beta}, {xi}) is never covered: its leading exponent {target_exp}"
+            f" is above {top_exp}, that of the top {p.top_theta}"
+        )
     current = p
     for _ in range(budget):
         if current.blocks.contains(beta, xi):
@@ -367,7 +362,7 @@ def extend_to_cover(
             new_blocks = {b: r for b, r in current.blocks.blocks}
             new_blocks[beta] = add(rho, theta)
             new_level = LevelData(theta, ZERO, theta)
-            frag_r = _extend_families(current.frag, new_level, nat_multiply(theta, 2))
+            frag_r = _add_level(current.frag, new_level, nat_multiply(theta, 2))
             current = Condition(frag_r, BlockMap.from_dict(new_blocks))
     if current.blocks.contains(beta, xi):
         return current
@@ -375,6 +370,10 @@ def extend_to_cover(
         f"target ({beta}, {xi}) not covered after {budget} steps;"
         f" block reaches {current.blocks.rho(beta)}"
     )
+
+
+def _leading_exponent(x: OrdinalCNF) -> int:
+    return x.terms[0][0] if x.terms else 0
 
 
 def verify_lower_bound(q: Condition, chain: Sequence[Condition]) -> ValidationReport:

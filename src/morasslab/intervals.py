@@ -2,8 +2,7 @@
 
 Interval unions are kept normalized: nonempty, sorted by lower endpoint,
 pairwise disjoint and non-adjacent.  They represent subsets of a level
-exactly, which is what the fullness check and the boundedness decision
-procedure rely on.
+exactly, which is what the boundedness decision procedure relies on.
 """
 
 from __future__ import annotations
@@ -59,14 +58,6 @@ def intersect_all(unions: Iterable[Iterable[Interval]]) -> tuple[Interval, ...]:
         if not acc:
             break
     return acc
-
-
-def covers_exactly(intervals: Iterable[Interval], lo: OrdinalCNF, hi: OrdinalCNF) -> bool:
-    """True iff the union equals [lo, hi)."""
-    norm = normalize(intervals)
-    if lo == hi:
-        return norm == ()
-    return norm == ((lo, hi),)
 
 
 def first_point(intervals: Iterable[Interval]) -> OrdinalCNF | None:

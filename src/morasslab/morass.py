@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import intervals
 from .intervals import Interval
@@ -45,10 +45,6 @@ class ElementRangeError(MorassError):
     """An element outside the fragment's universe [0, top_theta)."""
 
 
-class PredecessorError(MorassError):
-    """No, or several, predecessor values: the fragment is not a valid morass."""
-
-
 # A piece (lo, hi, image_lo) translates [lo, hi) by: x -> image_lo + (x - lo).
 Piece = tuple[OrdinalCNF, OrdinalCNF, OrdinalCNF]
 
@@ -78,15 +74,6 @@ def apply_pieces(pieces: Sequence[Piece], xi: OrdinalCNF) -> OrdinalCNF | None:
     return None
 
 
-def preimages_in_pieces(pieces: Sequence[Piece], xi: OrdinalCNF) -> list[OrdinalCNF]:
-    out = []
-    for lo, hi, img in pieces:
-        end = _piece_image_end((lo, hi, img))
-        if img <= xi < end:
-            out.append(add(lo, left_subtract(img, xi)))
-    return out
-
-
 def compose_piece_lists(outer: Sequence[Piece], inner: Sequence[Piece]) -> tuple[Piece, ...]:
     """Pieces of outer-after-inner; inner pieces must be sorted by lo."""
     result: list[Piece] = []
@@ -102,17 +89,6 @@ def compose_piece_lists(outer: Sequence[Piece], inner: Sequence[Piece]) -> tuple
                 result.append((src_lo, src_hi, dst))
     result.sort(key=lambda p: p[0].terms)
     return merge_pieces(result)
-
-
-def image_of_intervals(pieces: Sequence[Piece], ivs: Iterable[Interval]) -> tuple[Interval, ...]:
-    out = []
-    for a, b in ivs:
-        for lo, hi, img in pieces:
-            s = max(a, lo)
-            e = min(b, hi)
-            if s < e:
-                out.append((add(img, left_subtract(lo, s)), add(img, left_subtract(lo, e))))
-    return intervals.normalize(out)
 
 
 def preimage_of_interval(pieces: Sequence[Piece], a: OrdinalCNF, b: OrdinalCNF) -> tuple[Interval, ...]:
@@ -168,21 +144,12 @@ class MapNF:
         return val
 
     def preimage(self, xi: OrdinalCNF) -> OrdinalCNF | None:
-        hits = preimages_in_pieces(self.pieces, xi)
-        return hits[0] if hits else None
-
-    def range_intervals(self) -> tuple[Interval, ...]:
+        """The point sent to xi, or None; the images are disjoint, so there is at most one."""
         ends: tuple[OrdinalCNF, ...] = self._image_ends  # type: ignore[attr-defined]
-        return intervals.normalize(
-            (piece[2], end) for piece, end in zip(self.pieces, ends)
-        )
-
-    def covers(self, xi: OrdinalCNF) -> bool:
-        ends: tuple[OrdinalCNF, ...] = self._image_ends  # type: ignore[attr-defined]
-        return any(
-            piece[2].terms <= xi.terms < end.terms
-            for piece, end in zip(self.pieces, ends)
-        )
+        for (lo, _, img), end in zip(self.pieces, ends):
+            if img <= xi < end:
+                return add(lo, left_subtract(img, xi))
+        return None
 
     def is_identity(self) -> bool:
         return self.pieces == ((ZERO, self.source_theta, ZERO),) or not self.pieces
@@ -232,25 +199,18 @@ class MorassFragment:
     """A finite tower of levels; the top level stands in for the whole universe.
 
     ``levels[alpha]`` describes level alpha for alpha < height; the top
-    order type is ``top_theta``.  Successor families default to
-    {identity, shift at gamma}; they can be overridden for validator tests.
+    order type is ``top_theta``.  The successor family of every level is
+    {identity, shift at gamma}, so the levels determine the fragment.
     """
 
     height: int
     levels: tuple[LevelData, ...]
     top_theta: OrdinalCNF
-    successor_families: tuple[tuple[MapNF, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.height < 0 or len(self.levels) != self.height:
             raise MorassError("height must match the number of levels")
-        if self.successor_families is not None and len(self.successor_families) != self.height:
-            raise MorassError("one successor family per level required")
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.height, self.levels, self.top_theta, self.successor_families)),
-        )
+        object.__setattr__(self, "_hash", hash((self.height, self.levels, self.top_theta)))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -265,8 +225,6 @@ class MorassFragment:
     def successor_family(self, alpha: int) -> tuple[MapNF, ...]:
         if not 0 <= alpha < self.height:
             raise LevelIndexError(f"no successor step at level {alpha}")
-        if self.successor_families is not None:
-            return self.successor_families[alpha]
         level = self.levels[alpha]
         target = self.theta_at(alpha + 1)
         ident = identity_map(level.theta, target)
@@ -298,7 +256,6 @@ class MorassFragment:
             raise ElementRangeError(f"{xi} outside the universe [0, {self.top_theta})")
 
 
-@lru_cache(maxsize=4096)
 def family(frag: MorassFragment, alpha: int, beta: int) -> tuple[MapNF, ...]:
     """All composites of successor-family choices from level alpha to beta.
 
@@ -330,15 +287,20 @@ class ValidationReport:
 
 
 def validate_fragment(frag: MorassFragment) -> ValidationReport:
-    """Check level arithmetic, successor families, and fullness at every pair.
+    """Check level arithmetic and the successor family of every level.
 
-    Fullness is decided exactly: the union of the ranges of the maps from
-    alpha to beta is propagated as an interval union one successor step at
-    a time (the image of a union is the union of the images), and compared
-    with [0, theta_beta).
+    Fullness, that the maps from level alpha to level beta jointly cover
+    [0, theta_beta), needs no check: it holds at every pair whose steps
+    have well-formed families.  At such a step the identity covers
+    [0, theta_alpha), and the shift covers [theta_alpha, theta_{alpha+1})
+    because ``successor_family`` checks that its target is theta_{alpha+1};
+    so the step's maps cover the whole next level.  By induction on beta,
+    if the maps from alpha cover [0, theta_beta), their composites with the
+    step at beta cover the ranges of that step's maps, which is
+    [0, theta_{beta+1}).  ``tests/oracles.fullness_violations`` checks the
+    same by propagating interval unions.
     """
     violations: list[str] = []
-    notes: list[str] = []
     for alpha, level in enumerate(frag.levels):
         if not is_limit(level.theta):
             violations.append(f"level {alpha}: theta {level.theta} is not a limit ordinal")
@@ -348,142 +310,30 @@ def validate_fragment(frag: MorassFragment) -> ValidationReport:
             violations.append(f"level {alpha}: successor violation theta_{alpha + 1} != theta + eta")
     if frag.height >= 0 and not is_limit(frag.top_theta) and not frag.top_theta.is_zero():
         violations.append(f"top theta {frag.top_theta} is not a limit ordinal")
-
-    families: list[tuple[MapNF, ...] | None] = []
-    for alpha in range(frag.height):
-        try:
-            fam = frag.successor_family(alpha)
-        except MorassError as exc:
-            violations.append(f"level {alpha}: successor family ill-formed: {exc}")
-            fam = None
-        else:
-            source = frag.theta_at(alpha)
-            target = frag.theta_at(alpha + 1)
-            for m in fam:
-                if m.source_theta != source or m.target_theta != target:
-                    violations.append(f"level {alpha}: family map endpoints disagree with levels")
-        families.append(fam)
-
-    for alpha in range(frag.height):
-        if families[alpha] is None:
-            continue
-        covered = intervals.normalize(
-            iv for m in families[alpha] for iv in m.range_intervals()
-        )
-        for beta in range(alpha + 1, frag.height + 1):
-            if beta > alpha + 1:
-                step = families[beta - 1]
-                if step is None:
-                    break
-                covered = intervals.normalize(
-                    iv for m in step for iv in image_of_intervals(m.pieces, covered)
-                )
-            if not intervals.covers_exactly(covered, ZERO, frag.theta_at(beta)):
-                violations.append(
-                    f"fullness violated at pair ({alpha}, {beta}):"
-                    f" ranges do not cover [0, {frag.theta_at(beta)})"
-                )
-    notes.append("factoring: vacuously true at finite height (no limit level indices)")
-    return ValidationReport(tuple(violations), tuple(notes))
-
-
-def check_factoring(
-    families_by_pair: Mapping[tuple[int, int], Iterable[MapNF]],
-    limit_indices: Iterable[int],
-) -> list[str]:
-    """Generic factoring checker for explicitly supplied families.
-
-    For each designated "limit" index g and each pair f, g0 of maps into it,
-    search for an intermediate level b and maps f', g' and h with
-    f = h o f' and g0 = h o g'.  Pairs with no strictly intermediate level
-    are skipped: at a true limit index the intermediate range is never
-    empty.  Finite-height builders never produce limit indices, so this is
-    exercised only on hand-made inputs.
-    """
-    failures = []
-    pairs = dict(families_by_pair)
-    for gamma in sorted(set(limit_indices)):
-        for (alpha, beta), fam in pairs.items():
-            if beta != gamma or alpha >= gamma - 1:
-                continue
-            fam = tuple(fam)
-            for f in fam:
-                for g0 in fam:
-                    found = False
-                    for mid in range(alpha + 1, gamma):
-                        lower = tuple(pairs.get((alpha, mid), ()))
-                        upper = tuple(pairs.get((mid, gamma), ()))
-                        for h in upper:
-                            lows_f = [lf for lf in lower if compose(h, lf) == f]
-                            lows_g = [lg for lg in lower if compose(h, lg) == g0]
-                            if lows_f and lows_g:
-                                found = True
-                                break
-                        if found:
-                            break
-                    if not found:
-                        failures.append(
-                            f"no factoring of a pair in family ({alpha}, {gamma})"
-                        )
-    return failures
-
-
-def _step_witnesses(frag: MorassFragment, beta: int, values: frozenset) -> frozenset:
-    """Pull a set of level-(beta+1) elements back one successor step."""
-    out = set()
-    for m in frag.successor_family(beta):
-        for val in values:
-            pre = m.preimage(val)
-            if pre is not None:
-                out.add(pre)
-    return frozenset(out)
-
-
-def predecessor_witness_vector(
-    frag: MorassFragment, xi: OrdinalCNF
-) -> tuple[frozenset, ...]:
-    """For each level alpha, the set of preimages of xi through the family.
-
-    Entry alpha equals { f^{-1}(xi) : f in family(alpha, height), xi in ran f };
-    every family map factors through successor steps, so pulling the witness
-    set down one step at a time enumerates exactly those values.  A valid
-    fragment yields singletons everywhere.
-    """
-    frag.check_element(xi)
-    vecs: list[frozenset] = [frozenset((xi,))]
-    current = frozenset((xi,))
-    for beta in range(frag.height - 1, -1, -1):
-        current = _step_witnesses(frag, beta, current)
-        vecs.append(current)
-    vecs.reverse()
-    return tuple(vecs)
+    for alpha, error in enumerate(frag._step_errors):
+        if error is not None:
+            violations.append(f"level {alpha}: successor family ill-formed: {error}")
+    notes = ("factoring: vacuously true at finite height (no limit level indices)",)
+    return ValidationReport(tuple(violations), notes)
 
 
 @lru_cache(maxsize=262144)
 def predecessor_vector(frag: MorassFragment, xi: OrdinalCNF) -> tuple[OrdinalCNF, ...]:
-    """Vector of the unique predecessors of xi, one per level 0..height."""
-    if frag.successor_families is None:
-        # canonical shift towers: the step preimage has a closed form
-        frag.check_element(xi)
-        out = [xi]
-        cur = xi
-        for beta in range(frag.height - 1, -1, -1):
-            level = frag.levels[beta]
-            if cur < level.theta:
-                pass
-            else:
-                cur = add(level.gamma, left_subtract(level.theta, cur))
-            out.append(cur)
-        out.reverse()
-        return tuple(out)
-    witnesses = predecessor_witness_vector(frag, xi)
-    out = []
-    for alpha, wset in enumerate(witnesses):
-        if len(wset) != 1:
-            raise PredecessorError(
-                f"{len(wset)} predecessor values for {xi} at level {alpha}"
-            )
-        out.append(next(iter(wset)))
+    """Vector of the unique predecessors of xi, one per level 0..height.
+
+    One step down, a point below theta_beta is its own preimage (under the
+    identity) and a point theta_beta + zeta comes from gamma_beta + zeta
+    (under the shift).
+    """
+    frag.check_element(xi)
+    out = [xi]
+    cur = xi
+    for beta in range(frag.height - 1, -1, -1):
+        level = frag.levels[beta]
+        if not cur < level.theta:
+            cur = add(level.gamma, left_subtract(level.theta, cur))
+        out.append(cur)
+    out.reverse()
     return tuple(out)
 
 
@@ -523,10 +373,10 @@ def mu(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:
     Descend from the top: at each successor step the pair of current
     predecessors must lie in the range of one common map to continue;
     the least reachable level is returned (at worst the top itself).
-    On canonical fragments the step beta -> beta+1 covers a pair exactly
-    when both lie below theta_beta (the identity's range) or both lie in
-    the union of [0, gamma_beta) and [theta_beta, theta_{beta+1}) (the
-    shift's range).
+    The step beta -> beta+1 covers a pair exactly when both lie below
+    theta_beta (the identity's range) or both lie in the union of
+    [0, gamma_beta) and [theta_beta, theta_{beta+1}) (the shift's range).
+    A step whose family is ill-formed raises when the descent reaches it.
     """
     frag.check_element(xi)
     frag.check_element(eta)
@@ -534,28 +384,18 @@ def mu(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:
     vy = predecessor_vector(frag, eta)
     least = frag.height
     for beta in range(frag.height - 1, -1, -1):
-        x, y = vx[beta + 1], vy[beta + 1]
-        if frag.successor_families is None:
-            covered = _canonical_step_covers(frag, beta, x, y)
-        else:
-            covered = any(m.covers(x) and m.covers(y) for m in frag.successor_family(beta))
-        if not covered:
+        error = frag._step_errors[beta]
+        if error is not None:
+            raise MorassError(error)
+        level = frag.levels[beta]
+        theta, gamma = level.theta.terms, level.gamma.terms
+        x, y = vx[beta + 1].terms, vy[beta + 1].terms
+        in_identity = x < theta and y < theta
+        in_shift = (x < gamma or x >= theta) and (y < gamma or y >= theta)
+        if not (in_identity or in_shift):
             break
         least = beta
     return least
-
-
-def _canonical_step_covers(frag: MorassFragment, beta: int, x: OrdinalCNF, y: OrdinalCNF) -> bool:
-    """Whether the identity or the shift of step beta has both x and y in its range."""
-    error = frag._step_errors[beta]
-    if error is not None:
-        raise MorassError(error)
-    level = frag.levels[beta]
-    theta, gamma = level.theta.terms, level.gamma.terms
-    x, y = x.terms, y.terms
-    return (x < theta and y < theta) or (
-        (x < gamma or x >= theta) and (y < gamma or y >= theta)
-    )
 
 
 def dominates(
@@ -573,11 +413,9 @@ def dominates(
 def predecessor_pieces(frag: MorassFragment, beta: int) -> tuple[Piece, ...]:
     """The level-beta predecessor map on the whole universe, as translation pieces.
 
-    Only defined for canonical fragments; used by the boundedness decision
-    procedure, which needs exact preimages of intervals.
+    Used by the boundedness decision procedure, which needs exact preimages
+    of intervals.
     """
-    if frag.successor_families is not None:
-        raise MorassError("piecewise predecessor maps need canonical successor families")
     if not 0 <= beta <= frag.height:
         raise LevelIndexError(f"no level {beta}")
     pieces: tuple[Piece, ...] = ((ZERO, frag.top_theta, ZERO),) if not frag.top_theta.is_zero() else ()
@@ -622,7 +460,7 @@ def map_from_json(obj: dict) -> MapNF:
 
 
 def fragment_to_json(frag: MorassFragment) -> dict:
-    obj: dict = {
+    return {
         "height": frag.height,
         "levels": [
             {
@@ -634,21 +472,11 @@ def fragment_to_json(frag: MorassFragment) -> dict:
         ],
         "top_theta": render_ordinal(frag.top_theta),
     }
-    if frag.successor_families is not None:
-        obj["successor_families"] = [
-            [map_to_json(m) for m in fam] for fam in frag.successor_families
-        ]
-    return obj
 
 
 def fragment_from_json(obj: dict) -> MorassFragment:
+    """A fragment; a ``successor_families`` key is accepted only when it is canonical."""
     expect(obj, dict, "a fragment", MorassError)
-    families = None
-    if "successor_families" in obj:
-        families = tuple(
-            tuple(map_from_json(m) for m in expect(fam, list, "a successor family", MorassError))
-            for fam in expect(obj["successor_families"], list, "the successor families", MorassError)
-        )
     levels = []
     for lv in expect(obj["levels"], list, "a fragment's levels", MorassError):
         expect(lv, dict, "a level", MorassError)
@@ -659,9 +487,19 @@ def fragment_from_json(obj: dict) -> MorassFragment:
                 parse_ordinal(lv["eta"]),
             )
         )
-    return MorassFragment(
+    frag = MorassFragment(
         expect(obj["height"], int, "a fragment's height", MorassError),
         tuple(levels),
         parse_ordinal(obj["top_theta"]),
-        families,
     )
+    if "successor_families" in obj:
+        families = expect(obj["successor_families"], list, "the successor families", MorassError)
+        if len(families) != frag.height:
+            raise MorassError("one successor family per level required")
+        for alpha, fam in enumerate(families):
+            maps = {map_from_json(m) for m in expect(fam, list, "a successor family", MorassError)}
+            if frag._step_errors[alpha] is not None or maps != set(frag.successor_family(alpha)):
+                raise MorassError(
+                    f"level {alpha}: only the canonical successor family {{identity, shift}} is supported"
+                )
+    return frag

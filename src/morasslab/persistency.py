@@ -170,13 +170,6 @@ def admits_key(frag: MorassFragment, f: PFunc, key: OrdinalCNF, value: int) -> b
     return len(fiber) == 1 or fiber_bound(frag, frozenset(fiber)) is not None
 
 
-def downward_closed_check(frag: MorassFragment, f: PFunc, g: PFunc) -> bool:
-    """With f a subfunction of g: membership of g implies membership of f."""
-    if not g.extends(f):
-        raise PersistencyError("f must be a subfunction of g")
-    return in_family(frag, f) or not in_family(frag, g)
-
-
 @dataclass(frozen=True)
 class PersistencyTranscript:
     rounds: tuple[tuple[OrdinalCNF, PFunc], ...]
@@ -313,47 +306,6 @@ def claim_check(history: Sequence[tuple[OrdinalCNF, int]], frag: MorassFragment)
         if len(candidates) > 1:
             return False
     return True
-
-
-Sampler = Callable[[PFunc, OrdinalCNF], PFunc | None]
-
-
-class GreedyExistsPlayer:
-    """Plays whatever the sampler produces; legality is left to the referee."""
-
-    def __init__(self, sampler: Sampler):
-        self.sampler = sampler
-        self.position = EMPTY_PFUNC
-
-    def respond(self, xi: OrdinalCNF) -> PFunc | None:
-        nxt = self.sampler(self.position, xi)
-        if nxt is not None:
-            self.position = nxt
-        return nxt
-
-
-def greedy_strategy(sampler: Sampler) -> GreedyExistsPlayer:
-    return GreedyExistsPlayer(sampler)
-
-
-def family_extension_sampler(frag: MorassFragment, max_value: int) -> Sampler:
-    """Sampler over the whole family: first legal extension by value order."""
-
-    def sample(position: PFunc, xi: OrdinalCNF) -> PFunc | None:
-        if position.get(xi) is not None:
-            return position
-        for v in range(max_value + 1):
-            cand = PFunc.from_pairs(tuple(position.entries) + ((xi, v),))
-            if in_family(frag, cand):
-                return cand
-        return None
-
-    return sample
-
-
-def broken_player() -> GreedyExistsPlayer:
-    """A defender that always answers with the empty function (always illegal)."""
-    return greedy_strategy(lambda position, xi: EMPTY_PFUNC)
 
 
 def random_challenges(frag: MorassFragment, seed: int) -> ForallPlayer:

@@ -3,8 +3,9 @@
 Everything here recomputes expected values along a different route than
 the library: ordinal arithmetic through explicit block-sequence well
 orders, predecessors and cover levels through exhaustive word enumeration
-over the successor families, boundedness through grid search, and both
-games through exhaustive tree search.
+or preimages under the successor maps, fullness through interval
+propagation, boundedness through grid search, and both games through
+exhaustive tree search.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from functools import lru_cache
 from itertools import product
 
 from morasslab.intervals import normalize
-from morasslab.morass import MorassFragment, compose, identity_map
-from morasslab.ordinal import OrdinalCNF, ZERO, omega_times
+from morasslab.morass import MapNF, MorassError, MorassFragment, compose, identity_map
+from morasslab.ordinal import OrdinalCNF, ZERO, add, left_subtract, omega_times
 from morasslab.persistency import PFunc, in_family
 from morasslab.structures import check_partial_iso, check_partial_iso_report, element_sort_key
 
@@ -152,6 +153,88 @@ def oracle_mu(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:
             if f.preimage(xi) is not None and f.preimage(eta) is not None:
                 return alpha
     raise AssertionError("top level must cover everything")
+
+
+def _step_witnesses(frag: MorassFragment, beta: int, values: frozenset) -> frozenset:
+    """Pull a set of level-(beta+1) elements back one successor step."""
+    out = set()
+    for m in frag.successor_family(beta):
+        for val in values:
+            pre = m.preimage(val)
+            if pre is not None:
+                out.add(pre)
+    return frozenset(out)
+
+
+def predecessor_witness_vector(frag: MorassFragment, xi: OrdinalCNF) -> tuple[frozenset, ...]:
+    """For each level alpha, the set of preimages of xi through the family.
+
+    Entry alpha equals { f^{-1}(xi) : f in family(alpha, height), xi in ran f };
+    every family map factors through successor steps, so pulling the witness
+    set down one step at a time enumerates exactly those values.  A valid
+    fragment yields singletons everywhere.
+    """
+    frag.check_element(xi)
+    vecs: list[frozenset] = [frozenset((xi,))]
+    current = frozenset((xi,))
+    for beta in range(frag.height - 1, -1, -1):
+        current = _step_witnesses(frag, beta, current)
+        vecs.append(current)
+    vecs.reverse()
+    return tuple(vecs)
+
+
+def mu_by_step_maps(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:
+    """mu by descending the successor maps themselves.
+
+    Below the top, the descent continues past a step while one of the
+    step's maps has both current predecessors in its range.
+    """
+    # unpacking each witness set checks that it is a singleton
+    vx = [v for (v,) in predecessor_witness_vector(frag, xi)]
+    vy = [v for (v,) in predecessor_witness_vector(frag, eta)]
+    least = frag.height
+    for beta in range(frag.height - 1, -1, -1):
+        x, y = vx[beta + 1], vy[beta + 1]
+        if not any(
+            m.preimage(x) is not None and m.preimage(y) is not None
+            for m in frag.successor_family(beta)
+        ):
+            break
+        least = beta
+    return least
+
+
+def _image_of_intervals(m: MapNF, ivs) -> tuple:
+    out = []
+    for a, b in ivs:
+        for lo, hi, img in m.pieces:
+            s, e = max(a, lo), min(b, hi)
+            if s < e:
+                out.append((add(img, left_subtract(lo, s)), add(img, left_subtract(lo, e))))
+    return normalize(out)
+
+
+def fullness_violations(frag: MorassFragment) -> list[tuple[int, int]]:
+    """The pairs (alpha, beta) whose family maps do not cover [0, theta_beta).
+
+    The union of the ranges of the maps from alpha is pushed up one
+    successor step at a time as an interval union (the image of a union is
+    the union of the images); a step whose family is ill-formed ends the
+    propagation from every level below it.
+    """
+    violations = []
+    for alpha in range(frag.height):
+        covered = normalize([(ZERO, frag.theta_at(alpha))])
+        for beta in range(alpha + 1, frag.height + 1):
+            try:
+                step = frag.successor_family(beta - 1)
+            except MorassError:
+                break
+            covered = normalize(iv for m in step for iv in _image_of_intervals(m, covered))
+            if covered != normalize([(ZERO, frag.theta_at(beta))]):
+                violations.append((alpha, beta))
+    return violations
 
 
 def oracle_in_family(frag: MorassFragment, f: PFunc, grid) -> bool:

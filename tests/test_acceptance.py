@@ -26,12 +26,7 @@ from morasslab.forcing import (
     seed_condition,
     validate_condition,
 )
-from morasslab.morass import (
-    mu,
-    preceq,
-    preceq_at,
-    predecessor_witness_vector,
-)
+from morasslab.morass import mu, preceq, preceq_at
 from morasslab.ordinal import (
     OrdinalCNF,
     add,
@@ -67,6 +62,7 @@ from oracles import (
     oracle_left_subtract,
     oracle_mu,
     persistency_game_solver,
+    predecessor_witness_vector,
     sample_grid,
 )
 

@@ -50,6 +50,15 @@ def test_build_budget_exhaustion_fails(tmp_path, capsys):
     assert "build failed" in capsys.readouterr().err
 
 
+def test_build_unreachable_target_fails_before_any_step(tmp_path, capsys):
+    # w^2 lies above every top that doublings and amalgamations of w can reach
+    tasks = tmp_path / "tasks.json"
+    write_json(tasks, [[0, "w^2"]])
+    assert cli.main(["build", str(tasks), "--budget", "256"]) == 1
+    err = capsys.readouterr().err
+    assert "build failed" in err and "leading exponent 2 is above 1" in err, err
+
+
 def test_validate_corrupted_condition(tmp_path, capsys):
     out = tmp_path / "cond.json"
     obj = condition_to_json(seed_condition())

@@ -25,7 +25,8 @@ import pytest
 
 import morasslab.cli as cli
 from morasslab.efgame import EFConfig, ef_exists_strategy, play_ef, random_forall
-from morasslab.forcing import build_fragment, condition_to_json, seed_condition, tasks_from_json
+from morasslab.forcing import build_fragment, condition_from_json, condition_to_json, seed_condition, tasks_from_json
+from morasslab.morass import map_to_json
 from morasslab.ordinal import parse_ordinal
 from morasslab.structures import element_sort_key, make_ab
 
@@ -146,6 +147,36 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("case", list(CASES))
 def test_cli_output_digest(inputs, tasks, case):
     assert run_case(inputs[tasks], CASES[case]) == DIGESTS[f"{tasks}/{case}"]
+
+
+def _spell_out_families(directory: Path, keep=lambda m: True) -> None:
+    """Write the successor families of cond.json into it, keeping the maps ``keep`` accepts."""
+    path = directory / "cond.json"
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    frag = condition_from_json(obj).frag
+    obj["frag"]["successor_families"] = [
+        [map_to_json(m) for m in frag.successor_family(alpha) if keep(m)] for alpha in range(frag.height)
+    ]
+    path.write_text(json.dumps(obj), encoding="utf-8")
+
+
+def test_spelled_out_canonical_families_change_no_output(tmp_path):
+    prepare(tmp_path, TASK_LISTS["short"])
+    _spell_out_families(tmp_path)
+    for case, argv in CASES.items():
+        assert run_case(tmp_path, argv) == DIGESTS[f"short/{case}"], case
+
+
+def test_non_canonical_family_is_an_input_error(tmp_path, capsys):
+    prepare(tmp_path, TASK_LISTS["short"])
+    _spell_out_families(tmp_path, keep=lambda m: m.is_identity())
+    commands = [argv for case, argv in CASES.items() if case != "build"]
+    commands.append(["build", "tasks.json", "--seed-condition", "cond.json"])
+    with contextlib.chdir(tmp_path):
+        for argv in commands:
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "canonical successor family" in err and err.count("\n") == 1, err
 
 
 class _PlantedDefender:

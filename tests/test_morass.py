@@ -11,8 +11,6 @@ from morasslab.morass import (
     MapNF,
     MorassError,
     MorassFragment,
-    PredecessorError,
-    check_factoring,
     compose,
     dominates,
     family,
@@ -27,15 +25,17 @@ from morasslab.morass import (
     preceq_at,
     predecessor,
     predecessor_vector,
-    predecessor_witness_vector,
     validate_fragment,
 )
 from morasslab.ordinal import OMEGA, ZERO, random_ordinal_below
 from oracles import (
     family_words,
+    fullness_violations,
+    mu_by_step_maps,
     oracle_mu,
     oracle_preceq,
     oracle_predecessors,
+    predecessor_witness_vector,
     sample_grid,
 )
 
@@ -103,13 +103,7 @@ def test_validate_successor_violation():
     frag = MorassFragment(1, (LevelData(OMEGA, ZERO, OMEGA),), o("w*3"))
     report = validate_fragment(frag)
     assert any("successor violation" in v for v in report.violations)
-
-
-def test_validate_fullness_failure_when_shift_omitted():
-    ident = identity_map(OMEGA, o("w*2"))
-    frag = MorassFragment(1, (LevelData(OMEGA, ZERO, OMEGA),), o("w*2"), ((ident,),))
-    report = validate_fragment(frag)
-    assert any("fullness" in v for v in report.violations)
+    assert "level 0: successor family ill-formed: level 0: shift target w*2 != theta_1 w*3" in report.violations
 
 
 def test_predecessor_examples(frag0):
@@ -118,13 +112,6 @@ def test_predecessor_examples(frag0):
     assert predecessor(frag0, 1, o("w+3")) == o("w+3")
     with pytest.raises(ElementRangeError):
         predecessor(frag0, 0, o("w*2"))
-
-
-def test_predecessor_error_on_broken_family():
-    ident = identity_map(OMEGA, o("w*2"))
-    frag = MorassFragment(1, (LevelData(OMEGA, ZERO, OMEGA),), o("w*2"), ((ident,),))
-    with pytest.raises(PredecessorError):
-        predecessor(frag, 0, o("w+3"))
 
 
 def test_predecessor_uniqueness_against_word_search(tower3, mixed_fragment):
@@ -204,12 +191,6 @@ def test_mu_matches_exhaustive_search(tower3, mixed_fragment):
             assert mu(frag, x, y) == oracle_mu(frag, x, y)
 
 
-def _with_explicit_families(frag):
-    """The same tower with its successor families spelled out, so mu composes maps."""
-    families = tuple(frag.successor_family(alpha) for alpha in range(frag.height))
-    return MorassFragment(frag.height, frag.levels, frag.top_theta, families)
-
-
 def test_mu_canonical_matches_successor_maps_and_oracle(monkeypatch):
     words = oracles.family_words
     monkeypatch.setattr(
@@ -220,13 +201,12 @@ def test_mu_canonical_matches_successor_maps_and_oracle(monkeypatch):
     for height in range(1, 11):
         for _ in range(2):
             frag = grown_condition(rng, height).frag
-            explicit = _with_explicit_families(frag)
             points = block_points(frag)
             points += [random_ordinal_below(frag.top_theta, rng) for _ in range(10)]
             for _ in range(40):
                 x, y = rng.choice(points), rng.choice(points)
                 level = mu(frag, x, y)
-                assert level == mu(explicit, x, y) == oracles.oracle_mu(frag, x, y), (x, y)
+                assert level == mu_by_step_maps(frag, x, y) == oracles.oracle_mu(frag, x, y), (x, y)
                 levels_seen.add((height, level))
     # the descent stops at every level somewhere, the bottom and the top included
     assert {level for _, level in levels_seen} == set(range(11))
@@ -255,34 +235,40 @@ def test_dominates(frag0):
         dominates(frag0, (o("3"),), (o("3"), o("5")))
 
 
-def test_factoring_checker_passes_on_identity_tower():
-    ident = identity_map(OMEGA)
-    fams = {(0, 1): (ident,), (1, 2): (ident,), (0, 2): (ident,)}
-    assert check_factoring(fams, [2]) == []
-
-
-def test_factoring_checker_detects_failure(tower3):
-    fams = {
-        (0, 1): family(tower3, 0, 1),
-        (1, 2): family(tower3, 1, 2),
-        (0, 2): family(tower3, 0, 2),
-    }
-    # a finite shift tower cannot factor pairs through a common upper map
-    assert check_factoring(fams, [2])
-
-
 def test_fullness_cover_invariant(built_conditions):
     for cond in built_conditions[:4]:
         report = validate_fragment(cond.frag)
         assert report.ok, report.violations
 
 
+def test_fullness_holds_on_built_and_grown_fragments(built_conditions, monkeypatch):
+    rng = random.Random(1310)
+    frags = [cond.frag for cond in built_conditions]
+    frags += [grown_condition(rng, height).frag for height in range(1, 9)]
+    for frag in frags:
+        assert validate_fragment(frag).ok
+        assert fullness_violations(frag) == []
+    # the oracle sees the gap a family without its shift would leave
+    monkeypatch.setattr(
+        MorassFragment,
+        "successor_family",
+        lambda self, alpha: (identity_map(self.theta_at(alpha), self.theta_at(alpha + 1)),),
+    )
+    assert fullness_violations(frags[-1]) == [
+        (alpha, beta) for alpha in range(8) for beta in range(alpha + 1, 9)
+    ]
+
+
 def test_fragment_json_round_trip(tower3, mixed_fragment):
     for frag in (tower3, mixed_fragment):
         assert fragment_from_json(fragment_to_json(frag)) == frag
-    ident = identity_map(OMEGA, o("w*2"))
-    overridden = MorassFragment(1, (LevelData(OMEGA, ZERO, OMEGA),), o("w*2"), ((ident,),))
-    assert fragment_from_json(fragment_to_json(overridden)) == overridden
+    obj = fragment_to_json(mixed_fragment)
+    families = [mixed_fragment.successor_family(alpha) for alpha in range(mixed_fragment.height)]
+    spelled_out = [[map_to_json(m) for m in fam] for fam in families]
+    assert fragment_from_json({**obj, "successor_families": spelled_out}) == mixed_fragment
+    without_shift = [[map_to_json(m) for m in fam if m.is_identity()] for fam in families]
+    with pytest.raises(MorassError):
+        fragment_from_json({**obj, "successor_families": without_shift})
 
 
 def test_map_json_round_trip():

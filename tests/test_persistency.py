@@ -1,20 +1,17 @@
 import random
+from typing import Callable
 
 import pytest
 
 from morasslab.morass import ElementRangeError, preceq_at
-from morasslab.ordinal import OMEGA, ZERO, random_ordinal_below
+from morasslab.ordinal import OMEGA, ZERO, OrdinalCNF, random_ordinal_below
 from morasslab.persistency import (
     EMPTY_PFUNC,
     PFunc,
     PersistencyError,
     admits_key,
-    broken_player,
     claim_check,
-    downward_closed_check,
-    family_extension_sampler,
     fiber_bound,
-    greedy_strategy,
     in_family,
     morass_strategy,
     play_persistency,
@@ -25,6 +22,54 @@ from morasslab.persistency import (
 from oracles import oracle_in_family, oracle_preceq, sample_grid
 
 from conftest import block_points, grown_condition, o
+
+# A sampler maps (position, challenge) to the next response, or None.
+Sampler = Callable[[PFunc, OrdinalCNF], "PFunc | None"]
+
+
+class GreedyExistsPlayer:
+    """Plays whatever the sampler produces; legality is left to the referee."""
+
+    def __init__(self, sampler: Sampler):
+        self.sampler = sampler
+        self.position = EMPTY_PFUNC
+
+    def respond(self, xi):
+        nxt = self.sampler(self.position, xi)
+        if nxt is not None:
+            self.position = nxt
+        return nxt
+
+
+def greedy_strategy(sampler: Sampler) -> GreedyExistsPlayer:
+    return GreedyExistsPlayer(sampler)
+
+
+def family_extension_sampler(frag, max_value: int) -> Sampler:
+    """Sampler over the whole family: first legal extension by value order."""
+
+    def sample(position, xi):
+        if position.get(xi) is not None:
+            return position
+        for v in range(max_value + 1):
+            cand = PFunc.from_pairs(tuple(position.entries) + ((xi, v),))
+            if in_family(frag, cand):
+                return cand
+        return None
+
+    return sample
+
+
+def broken_player() -> GreedyExistsPlayer:
+    """A defender that always answers with the empty function (always illegal)."""
+    return greedy_strategy(lambda position, xi: EMPTY_PFUNC)
+
+
+def downward_closed_check(frag, f: PFunc, g: PFunc) -> bool:
+    """With f a subfunction of g: membership of g implies membership of f."""
+    if not g.extends(f):
+        raise PersistencyError("f must be a subfunction of g")
+    return in_family(frag, f) or not in_family(frag, g)
 
 
 def test_pfunc_basics():
