@@ -282,10 +282,6 @@ def leq(q: Condition, p: Condition) -> bool:
     return any(iq.compose_map(h) == target for h in family(q.frag, p.delta, q.delta))
 
 
-def _add_level(frag: MorassFragment, new_level: LevelData, new_top: OrdinalCNF) -> MorassFragment:
-    return MorassFragment(frag.height + 1, frag.levels + (new_level,), new_top)
-
-
 def amalgamate(p: Condition, q: Condition) -> Condition:
     """One-step combination of two isomorphic conditions.
 
@@ -315,7 +311,7 @@ def amalgamate(p: Condition, q: Condition) -> Condition:
     theta = p.top_theta
     new_level = LevelData(theta, gamma, eta)
     new_top = add(theta, eta)
-    frag_r = _add_level(p.frag, new_level, new_top)
+    frag_r = MorassFragment(p.delta + 1, p.frag.levels + (new_level,), new_top)
     return Condition(frag_r, p.blocks.union(q.blocks))
 
 
@@ -362,7 +358,9 @@ def extend_to_cover(
             new_blocks = {b: r for b, r in current.blocks.blocks}
             new_blocks[beta] = add(rho, theta)
             new_level = LevelData(theta, ZERO, theta)
-            frag_r = _add_level(current.frag, new_level, nat_multiply(theta, 2))
+            frag_r = MorassFragment(
+                current.delta + 1, current.frag.levels + (new_level,), nat_multiply(theta, 2)
+            )
             current = Condition(frag_r, BlockMap.from_dict(new_blocks))
     if current.blocks.contains(beta, xi):
         return current

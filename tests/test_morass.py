@@ -254,8 +254,9 @@ def test_fullness_holds_on_built_and_grown_fragments(built_conditions, monkeypat
         "successor_family",
         lambda self, alpha: (identity_map(self.theta_at(alpha), self.theta_at(alpha + 1)),),
     )
-    assert fullness_violations(frags[-1]) == [
-        (alpha, beta) for alpha in range(8) for beta in range(alpha + 1, 9)
+    tallest = frags[-1]
+    assert fullness_violations(tallest) == [
+        (alpha, beta) for alpha in range(tallest.height) for beta in range(alpha + 1, tallest.height + 1)
     ]
 
 
