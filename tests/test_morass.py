@@ -106,6 +106,25 @@ def test_validate_successor_violation():
     assert "level 0: successor family ill-formed: level 0: shift target w*2 != theta_1 w*3" in report.violations
 
 
+def test_validate_fullness_failure_when_shift_omitted(monkeypatch):
+    frag = MorassFragment(1, (LevelData(OMEGA, ZERO, OMEGA),), o("w*2"))
+    ident = identity_map(OMEGA, o("w*2"))
+    # a family without its shift is refused when loaded
+    with pytest.raises(MorassError, match="only the canonical successor family"):
+        fragment_from_json({**fragment_to_json(frag), "successor_families": [[map_to_json(ident)]]})
+    # and the fullness oracle sees the gap it would leave, at every pair of levels
+    monkeypatch.setattr(
+        MorassFragment,
+        "successor_family",
+        lambda self, alpha: (identity_map(self.theta_at(alpha), self.theta_at(alpha + 1)),),
+    )
+    assert fullness_violations(frag) == [(0, 1)]
+    tallest = grown_condition(random.Random(1310), 8).frag
+    assert fullness_violations(tallest) == [
+        (alpha, beta) for alpha in range(tallest.height) for beta in range(alpha + 1, tallest.height + 1)
+    ]
+
+
 def test_predecessor_examples(frag0):
     assert predecessor(frag0, 0, o("w+3")) == o("3")
     assert predecessor(frag0, 0, o("3")) == o("3")
@@ -241,23 +260,13 @@ def test_fullness_cover_invariant(built_conditions):
         assert report.ok, report.violations
 
 
-def test_fullness_holds_on_built_and_grown_fragments(built_conditions, monkeypatch):
+def test_fullness_holds_on_built_and_grown_fragments(built_conditions):
     rng = random.Random(1310)
     frags = [cond.frag for cond in built_conditions]
     frags += [grown_condition(rng, height).frag for height in range(1, 9)]
     for frag in frags:
         assert validate_fragment(frag).ok
         assert fullness_violations(frag) == []
-    # the oracle sees the gap a family without its shift would leave
-    monkeypatch.setattr(
-        MorassFragment,
-        "successor_family",
-        lambda self, alpha: (identity_map(self.theta_at(alpha), self.theta_at(alpha + 1)),),
-    )
-    tallest = frags[-1]
-    assert fullness_violations(tallest) == [
-        (alpha, beta) for alpha in range(tallest.height) for beta in range(alpha + 1, tallest.height + 1)
-    ]
 
 
 def test_fragment_json_round_trip(tower3, mixed_fragment):
