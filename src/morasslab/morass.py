@@ -323,7 +323,10 @@ def predecessor_vector(frag: MorassFragment, xi: OrdinalCNF) -> tuple[OrdinalCNF
 
     One step down, a point below theta_beta is its own preimage (under the
     identity) and a point theta_beta + zeta comes from gamma_beta + zeta
-    (under the shift).
+    (under the shift).  At a well-formed step that preimage is below
+    theta_beta.  At an ill-formed one a point may have none, and then the
+    step's error is raised, as ``mu`` raises when its descent reaches the
+    step.
     """
     frag.check_element(xi)
     out = [xi]
@@ -332,6 +335,8 @@ def predecessor_vector(frag: MorassFragment, xi: OrdinalCNF) -> tuple[OrdinalCNF
         level = frag.levels[beta]
         if not cur < level.theta:
             cur = add(level.gamma, left_subtract(level.theta, cur))
+            if not cur < level.theta:
+                raise MorassError(frag._step_errors[beta])
         out.append(cur)
     out.reverse()
     return tuple(out)

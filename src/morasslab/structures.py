@@ -12,6 +12,8 @@ game's protagonists.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -72,22 +74,50 @@ def element_sort_key(e: CElement):
 
 
 class Layer:
-    """Catalog of the functions with a fixed finite domain, canonically indexed."""
+    """Catalog of the functions with a fixed finite domain, canonically indexed.
 
-    def __init__(self, u: tuple[OrdinalCNF, ...], catalog: tuple[PFunc, ...]):
+    Entry i is stored as one integer code: its values read as a
+    base-(cap+1) number, the first domain element being the most
+    significant digit.  The catalog is in lexicographic order of values,
+    so the codes ascend, an index is found by bisection and a function is
+    decoded only when asked for.
+    """
+
+    def __init__(self, u: tuple[OrdinalCNF, ...], cap: int, codes: array):
         self.u = u
-        self.catalog = catalog
-        self.bits = (len(catalog) - 1).bit_length() if len(catalog) > 1 else 0
-        self._index = {f: i for i, f in enumerate(catalog)}
+        self.cap = cap
+        self.codes = codes
+        self.bits = (len(codes) - 1).bit_length() if len(codes) > 1 else 0
 
     def __len__(self) -> int:
-        return len(self.catalog)
+        return len(self.codes)
+
+    @property
+    def catalog(self) -> tuple[PFunc, ...]:
+        return tuple(self.func_at(i) for i in range(len(self.codes)))
 
     def index_of(self, f: PFunc) -> int | None:
-        return self._index.get(f)
+        if len(f.entries) != len(self.u):
+            return None
+        base = self.cap + 1
+        code = 0
+        for (k, v), x in zip(f.entries, self.u):
+            if k != x or v > self.cap:
+                return None
+            code = code * base + v
+        i = bisect_left(self.codes, code)
+        if i < len(self.codes) and self.codes[i] == code:
+            return i
+        return None
 
     def func_at(self, i: int) -> PFunc:
-        return self.catalog[i]
+        code = self.codes[i]
+        base = self.cap + 1
+        values = []
+        for _ in self.u:
+            code, v = divmod(code, base)
+            values.append(v)
+        return PFunc(tuple(zip(self.u, reversed(values))))
 
     def bitstring(self, i: int) -> str:
         return "".join("1" if (i >> n) & 1 else "0" for n in range(self.bits))
@@ -103,12 +133,17 @@ def normalize_u(u: Iterable[OrdinalCNF]) -> tuple[OrdinalCNF, ...]:
 
 
 class LayerCache:
-    """Memoized layers, restriction indices and projections, shareable between expansions."""
+    """Memoized layers, restriction indices and projections, shareable between expansions.
+
+    Restrictions and projections are kept per pair (u, v) of layers: the
+    restriction index in u of each catalog index of v, and the members of
+    the projection of each member set of v.
+    """
 
     def __init__(self):
         self.layers: dict[tuple, Layer] = {}
-        self.restrictions: dict[tuple, int] = {}
-        self.projections: dict[tuple, frozenset[int]] = {}
+        self.restrictions: dict[tuple, dict[int, int]] = {}
+        self.projections: dict[tuple, dict[frozenset[int], frozenset[int]]] = {}
 
 
 class CStructure:
@@ -154,7 +189,9 @@ def enumerate_layer(struct: CStructure, u: Iterable[OrdinalCNF]) -> Layer:
 
     Functions are generated in lexicographic (element order, value) order by
     a DFS that prunes value-propagation conflicts and unbounded fibers as
-    soon as they appear, so the indexing is deterministic across runs.
+    soon as they appear, so the indexing is deterministic across runs.  The
+    DFS builds each function's code digit by digit, so the codes it appends
+    are sorted.
     """
     if isinstance(u, tuple):
         cached = struct._cache.layers.get(u)
@@ -177,57 +214,73 @@ def enumerate_layer(struct: CStructure, u: Iterable[OrdinalCNF]) -> Layer:
     height = frag.height
     vecs = [predecessor_vector(frag, x) for x in es]
 
-    dominating: dict[tuple[int, int], frozenset[int]] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            below = not any(a > b for a, b in zip(vecs[i], vecs[j]))
-            if not below:
-                dominating[(i, j)] = frozenset()
-                continue
-            eq_levels = {b for b in range(height + 1) if vecs[i][b] == vecs[j][b]}
-            dominating[(i, j)] = frozenset(
-                a for a in range(cap + 1) if min(a, height) in eq_levels
-            )
+    base = cap + 1
 
-    bound_ok_cache: dict[frozenset, bool] = {}
+    def forced(i: int, j: int) -> frozenset[int]:
+        """The values a at which f(x_j) = a forces f(x_i) = a."""
+        if any(a > b for a, b in zip(vecs[i], vecs[j])):
+            return frozenset()
+        eq_levels = {b for b in range(height + 1) if vecs[i][b] == vecs[j][b]}
+        return frozenset(a for a in range(base) if min(a, height) in eq_levels)
+
+    # rules[k]: for each earlier element j that constrains element k, the
+    # values element k may take, as a bit mask indexed by element j's value
+    rules = []
+    for k in range(n):
+        rule = []
+        for j in range(k):
+            above, below = forced(k, j), forced(j, k)
+            if above or below:
+                masks = [
+                    sum(
+                        1 << v
+                        for v in range(base)
+                        if v == vj or (vj not in above and v not in below)
+                    )
+                    for vj in range(base)
+                ]
+                rule.append((j, masks))
+        rules.append(rule)
+
+    # within one layer a fiber is named by its sorted domain indices
+    bounded: dict[tuple[int, ...], bool] = {}
 
     def fiber_ok(indices: tuple[int, ...]) -> bool:
-        key = frozenset(es[i] for i in indices)
-        hit = bound_ok_cache.get(key)
+        hit = bounded.get(indices)
         if hit is None:
-            hit = fiber_bound(frag, key) is not None
-            bound_ok_cache[key] = hit
+            hit = fiber_bound(frag, frozenset(es[i] for i in indices)) is not None
+            bounded[indices] = hit
         return hit
 
-    catalog: list[PFunc] = []
+    codes = array("q")
     values = [0] * n
+    fibers = [()] * base  # fibers[v]: the earlier elements with value v
 
-    def rec(k: int) -> None:
-        if k == n:
-            catalog.append(PFunc.from_pairs(zip(es, values)))
-            return
-        for v in range(cap + 1):
-            ok = True
-            for j in range(k):
-                vj = values[j]
-                if vj in dominating[(k, j)] and v != vj:
-                    ok = False
-                    break
-                if v in dominating[(j, k)] and vj != v:
-                    ok = False
-                    break
-            if not ok:
+    def rec(k: int, code: int) -> None:
+        allowed = -1
+        for j, masks in rules[k]:
+            allowed &= masks[values[j]]
+        last = k == n - 1
+        for v in range(base):
+            if not allowed >> v & 1:
+                continue
+            prior = fibers[v]
+            fiber = prior + (k,)
+            if prior and not fiber_ok(fiber):
+                continue
+            if last:
+                codes.append(code * base + v)
                 continue
             values[k] = v
-            fiber = tuple(i for i in range(k + 1) if values[i] == v)
-            if len(fiber) > 1 and not fiber_ok(fiber):
-                continue
-            rec(k + 1)
+            fibers[v] = fiber
+            rec(k + 1, code * base + v)
+            fibers[v] = prior
 
-    rec(0)
-    layer = Layer(uu, tuple(catalog))
+    if n:
+        rec(0, 0)
+    else:
+        codes.append(0)
+    layer = Layer(uu, cap, codes)
     struct._cache.layers[uu] = layer
     return layer
 
@@ -317,17 +370,25 @@ def project(
     vv = v if isinstance(v, tuple) else normalize_u(v)
     if b.u != vv:
         raise StructureError("element does not belong to the upper layer")
-    pkey = (uu, vv, b.members)
-    hit = struct._cache.projections.get(pkey)
+    return SetElement(uu, _projected_members(struct, uu, vv, b.members))
+
+
+def _projected_members(
+    struct: CStructure, uu: tuple, vv: tuple, members: frozenset[int]
+) -> frozenset[int]:
+    """The members of the projection from layer vv to layer uu of an element with these members."""
+    memo = struct._cache.projections.get((uu, vv))
+    if memo is None:
+        if not set(uu) <= set(vv):
+            raise StructureError("projection requires u to be a subset of v")
+        memo = struct._cache.projections[(uu, vv)] = {}
+    hit = memo.get(members)
     if hit is not None:
-        return SetElement(uu, hit)
-    if not set(uu) <= set(vv):
-        raise StructureError("projection requires u to be a subset of v")
-    restrictions = struct._cache.restrictions
+        return hit
+    restrictions = struct._cache.restrictions.setdefault((uu, vv), {})
     acc = 0
-    for idx in b.members:
-        key = (uu, vv, idx)
-        j = restrictions.get(key)
+    for idx in members:
+        j = restrictions.get(idx)
         if j is None:
             layer_v = enumerate_layer(struct, vv)
             layer_u = enumerate_layer(struct, uu)
@@ -336,11 +397,10 @@ def project(
                 raise CatalogClosureError(
                     f"restriction of catalog member {idx} missing from the lower catalog"
                 )
-            restrictions[key] = j
+            restrictions[idx] = j
         acc ^= 1 << j
-    members = frozenset(n for n in range(acc.bit_length()) if (acc >> n) & 1)
-    struct._cache.projections[pkey] = members
-    return SetElement(uu, members)
+    hit = memo[members] = frozenset(n for n in range(acc.bit_length()) if (acc >> n) & 1)
+    return hit
 
 
 def shift_map(struct: CStructure, u: Iterable[OrdinalCNF], a: SetElement):
@@ -472,13 +532,20 @@ def extends_partial_iso(
 
     Only what the new pairs can break is checked: their validity, that
     their images keep the map injective, the constant, and the relations
-    on every pair of elements that contains a new one.  Elements are
-    validated in the order ``check_partial_iso_report`` uses, so an
-    element whose layer cannot be built raises the same error there and
-    here.
+    on every pair of elements that contains a new one.  Each relation is
+    checked through its own structure instead of pair by pair, exactly
+    for any map: on the diagonal only the order tells the two kinds of
+    element apart, so a new pair must keep its kind; the order relation
+    is a chain; membership links an ordinal to a layer element; the bit
+    relations need a shared layer; and projection is a function.
+    Elements are validated in the order ``check_partial_iso_report``
+    uses, so an element whose layer cannot be built raises the same error
+    there and here.
     """
-    items = list(psi.items())
-    new = [(x, y) for x, y in items if x not in prev]
+    old: list[tuple[CElement, CElement]] = []
+    new: list[tuple[CElement, CElement]] = []
+    for x, y in psi.items():
+        (old if x in prev else new).append((x, y))
     images = set(prev.values())
     for _, y in new:
         if y in images:
@@ -490,13 +557,91 @@ def extends_partial_iso(
     c_a, c_b = a_struct.constant, b_struct.constant
     if any((x == c_a) != (y == c_b) for x, y in new):
         return False
-    for x1, y1 in new:
-        for x2, y2 in items:
-            if any(_relation_breaks(a_struct, b_struct, x1, y1, x2, y2)):
-                return False
-            if any(_relation_breaks(a_struct, b_struct, x2, y2, x1, y1)):
-                return False
-    return True
+    if any(isinstance(x, OrdElement) != isinstance(y, OrdElement) for x, y in new):
+        return False
+    old_ords = [(x, y) for x, y in old if isinstance(x, OrdElement)]
+    new_ords = [(x, y) for x, y in new if isinstance(x, OrdElement)]
+    old_sets = [(x, y) for x, y in old if isinstance(x, SetElement)]
+    new_sets = [(x, y) for x, y in new if isinstance(x, SetElement)]
+    return (
+        _order_kept(old_ords + new_ords)
+        and _membership_kept(old_ords, new_ords, old_sets, new_sets)
+        and _bits_kept(old_sets, new_sets, a_struct, b_struct)
+        and _projections_kept(old_sets, new_sets, a_struct, b_struct)
+    )
+
+
+def _order_kept(ords: list[tuple[OrdElement, OrdElement]]) -> bool:
+    """On distinct ordinals le is strict, so sorted by source the images must ascend."""
+    images = [y.value.terms for _, y in sorted(ords, key=lambda pair: pair[0].value.terms)]
+    return all(a < b for a, b in zip(images, images[1:]))
+
+
+def _membership_kept(old_ords, new_ords, old_sets, new_sets) -> bool:
+    """E holds on (ordinal, layer element) exactly when the ordinal is in the layer's domain."""
+    return all(
+        (o.value in s.u) == (o_image.value in s_image.u)
+        for ords, sets in ((new_ords, old_sets + new_sets), (old_ords, new_sets))
+        for o, o_image in ords
+        for s, s_image in sets
+    )
+
+
+def _bits_kept(old_sets, new_sets, a_struct: CStructure, b_struct: CStructure) -> bool:
+    """The bit relations hold only within a layer, on a singleton difference, and symmetrically.
+
+    So a new element is compared with the elements that share its layer
+    in either expansion, and only where one side differs from it in one
+    member.
+    """
+    by_a: dict[tuple, list] = {}
+    by_b: dict[tuple, list] = {}
+    for x, y in old_sets + new_sets:
+        by_a.setdefault(x.u, []).append((x, y))
+        by_b.setdefault(y.u, []).append((x, y))
+    return all(
+        _r_signature(a_struct, x1, x2) == _r_signature(b_struct, y1, y2)
+        for x1, y1 in new_sets
+        for x2, y2 in by_a[x1.u] + by_b[y1.u]
+        if len(x1.members ^ x2.members) == 1 or len(y1.members ^ y2.members) == 1
+    )
+
+
+def _projection_links(
+    struct: CStructure, old: list[SetElement], new: list[SetElement]
+) -> set[tuple[SetElement, SetElement]]:
+    """The pairs (a, b) of the elements, one of them new, on which S holds.
+
+    S(a, b) holds exactly when a is the projection of b onto a's layer, so
+    b has one candidate partner in each lower layer present.
+    """
+    by_layer: dict[tuple, dict[frozenset[int], tuple[SetElement, bool]]] = {}
+    for elems, is_new in ((old, False), (new, True)):
+        for e in elems:
+            by_layer.setdefault(e.u, {})[e.members] = (e, is_new)
+    fresh_layers = {e.u for e in new}
+    lower = {
+        v: [u for u in by_layer if u != v and set(u).issubset(v)] for v in by_layer
+    }
+    links = set()
+    for v, elems in by_layer.items():
+        for b, b_new in elems.values():
+            for u in lower[v]:
+                if not (b_new or u in fresh_layers):
+                    continue
+                members = _projected_members(struct, u, v, b.members)
+                a, a_new = by_layer[u].get(members, (None, False))
+                if a is not None and (b_new or a_new):
+                    links.add((a, b))
+    return links
+
+
+def _projections_kept(old_sets, new_sets, a_struct: CStructure, b_struct: CStructure) -> bool:
+    """The projection links with a new end, carried over by the map, are those of the images."""
+    image = dict(old_sets + new_sets)
+    links_a = _projection_links(a_struct, [x for x, _ in old_sets], [x for x, _ in new_sets])
+    links_b = _projection_links(b_struct, [y for _, y in old_sets], [y for _, y in new_sets])
+    return {(image[a], image[b]) for a, b in links_a} == links_b
 
 
 def check_partial_iso(

@@ -4,7 +4,8 @@ Everything here recomputes expected values along a different route than
 the library: ordinal arithmetic through explicit block-sequence well
 orders, predecessors and cover levels through exhaustive word enumeration
 or preimages under the successor maps, fullness through interval
-propagation, boundedness through grid search, and both games through
+propagation, boundedness through grid search, layer catalogs by testing
+every candidate function for membership, and both games through
 exhaustive tree search.
 """
 
@@ -260,6 +261,15 @@ def sample_grid(frag: MorassFragment, per_block: int = 24):
     k, m = pair_of_cnf(frag.top_theta)
     assert m == 0, "built universes are limit ordinals"
     return [omega_times(j, i) for j in range(k) for i in range(per_block)]
+
+
+def oracle_layer_catalog(frag: MorassFragment, u, cap: int) -> tuple[PFunc, ...]:
+    """Every function on the sorted domain u with values at most cap that
+    ``in_family`` accepts, in lexicographic order of the values."""
+    candidates = (
+        PFunc(tuple(zip(u, values))) for values in product(range(cap + 1), repeat=len(u))
+    )
+    return tuple(f for f in candidates if in_family(frag, f))
 
 
 # ---------------------------------------------------------------------------

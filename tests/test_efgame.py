@@ -22,6 +22,7 @@ from morasslab.structures import (
     extends_partial_iso,
     make_ab,
     normalize_u,
+    project,
 )
 from oracles import all_challenge_sequences, ef_game_solver, oracle_ef_round_reason
 
@@ -218,6 +219,31 @@ def test_referee_checks_old_elements_against_new_ones(frag0):
     assert (t.loss_at, t.reason) == (1, "membership link broken on (Ord(w), Set[w][])")
 
 
+def test_referee_finds_each_relation_broken_alone(ab):
+    # each map breaks one relation on one pair with a new element, and nothing else
+    a_struct, b_struct, _ = ab
+    u, v = normalize_u([o("3")]), normalize_u([o("3"), o("w+3")])
+    upper = SetElement(v, frozenset({1}))
+    below = project(a_struct, u, v, upper)
+    other = SetElement(u, frozenset({1}))
+    x1, x2 = SetElement(v, frozenset({2, 3})), SetElement(v, frozenset({1, 2}))
+    cases = [
+        # the new ordinal's image is above the old one's
+        ({OrdElement(o("4")): OrdElement(o("4"))}, OrdElement(o("3")), OrdElement(o("5")),
+         "order relation"),
+        # a singleton difference only among the images
+        ({upper: upper}, x1, x2, "bit relations"),
+        # an old element's projection is new, on either side
+        ({upper: upper}, below, other, "projection link"),
+        ({upper: upper}, other, below, "projection link"),
+    ]
+    for prev, x, y, phrase in cases:
+        psi = {**prev, x: y}
+        assert not extends_partial_iso(prev, psi, a_struct, b_struct), phrase
+        assert check_partial_iso_report(psi, a_struct, b_struct)[0].startswith(phrase)
+    assert extends_partial_iso({upper: upper}, {upper: upper, below: below}, a_struct, b_struct)
+
+
 class _PlantingPlayer:
     """The defender, with its response at round ``at`` replaced by ``plant(prev, psi)``.
 
@@ -278,12 +304,42 @@ def _planters(a_struct, rng):
             bad = SetElement(y.u, y.members | {len(enumerate_layer(a_struct, y.u))})
         return {**psi, x: bad}
 
+    def new_set_keys(prev, psi):
+        return [x for x in new_keys(prev, psi) if isinstance(psi[x], SetElement)]
+
+    def relayer(prev, psi):
+        new = new_set_keys(prev, psi)
+        if not new:
+            return psi
+        x = rng.choice(new)
+        y = psi[x]
+        others = sorted(
+            {z.u for z in psi.values() if isinstance(z, SetElement)} - {y.u},
+            key=lambda u: tuple(e.terms for e in u),
+        )
+        if not others:
+            return psi
+        u = rng.choice(others)
+        size = len(enumerate_layer(a_struct, u))
+        return {**psi, x: SetElement(u, frozenset(i for i in y.members if i < size))}
+
+    def flip(prev, psi):
+        new = new_set_keys(prev, psi)
+        if not new:
+            return psi
+        x = rng.choice(new)
+        y = psi[x]
+        i = rng.randrange(len(enumerate_layer(a_struct, y.u)))
+        return {**psi, x: SetElement(y.u, y.members ^ {i})}
+
     return {
         "none": lambda prev, psi: psi,
         "swap": swap_images,
         "collide": collide,
         "constant": break_constant,
         "invalid": invalid_image,
+        "relayer": relayer,
+        "flip": flip,
     }
 
 
@@ -313,6 +369,14 @@ def test_delta_referee_matches_full_check(frag0, built_conditions):
                     prev = dict(psi)
                 assert (t.loss_at, t.reason) == expected, kind
                 reasons.add(t.reason)
-    for phrase in ("map is not injective", "outside the layer catalog", "constant not respected", "broken on"):
+    for phrase in (
+        "map is not injective",
+        "outside the layer catalog",
+        "constant not respected",
+        "order relation broken on",
+        "membership link broken on",
+        "projection link broken on",
+        "bit relations broken on",
+    ):
         assert any(phrase in r for r in reasons if r), phrase
     assert None in reasons

@@ -245,6 +245,17 @@ def test_mu_raises_when_declared_eta_disagrees():
         mu(top_broken, o("1"), o("w*2"))
 
 
+def test_predecessor_raises_where_an_ill_formed_step_has_no_preimage():
+    # level 0 is w split at 0, so its shift reaches w*2, but theta_1 is declared w*3
+    frag = MorassFragment(1, (LevelData(OMEGA, ZERO, OMEGA),), o("w*3"))
+    for _ in range(2):  # the error is not hidden by the cache
+        with pytest.raises(MorassError, match=r"shift target w\*2 != theta_1 w\*3"):
+            predecessor(frag, 0, o("w*2+3"))
+    # the points that the shift and the identity do reach keep their predecessors
+    assert predecessor(frag, 0, o("w+3")) == o("3")
+    assert predecessor_vector(frag, o("3")) == (o("3"), o("3"))
+
+
 def test_dominates(frag0):
     s = (o("3"), o("w+1"))
     assert dominates(frag0, s, s)

@@ -24,17 +24,24 @@ def _load_tracing():
 def test_tracer_installs_counts_and_uninstalls(frag0):
     tracing = _load_tracing()
     mods = {m.__name__.rpartition(".")[2]: m for m in tracing.package_modules()}
-    morass = mods["morass"]
+    morass, structures = mods["morass"], mods["structures"]
     originals = {name: getattr(morass, name) for name in ("mu", "family", "predecessor_vector")}
+    layer_init = structures.Layer.__init__
     tracer = tracing.Tracer()
     try:
         tracer.install(mods)
         tracer.begin(0)
         morass.mu(frag0, o("3"), o("w+3"))
         morass.family(frag0, 0, 1)
+        struct = structures.CStructure(frag0, 2, structures.SetElement(()))
+        layer = structures.enumerate_layer(struct, [o("3"), o("w+3")])
         tracer.end()
     finally:
         tracer.uninstall()
     assert {"morass.mu", "morass.family", "morass.map_built", "morass.predecessor_vector"} <= set(tracer.counts)
+    # the figures behind --trace 1's layers_built and catalog_entries
+    assert tracer.counts["structures.layer_built"] == 1
+    assert tracer.sums["structures.layer_built"] == len(layer) == 7
+    assert structures.Layer.__init__ is layer_init
     assert set(tracer.cache_misses) == set(tracing.CACHES)
     assert all(getattr(morass, name) is fn for name, fn in originals.items())

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -27,7 +28,8 @@ from morasslab.structures import (
     shift_map,
 )
 
-from conftest import o
+from conftest import block_points, grown_condition, o
+from oracles import oracle_layer_catalog
 
 
 @pytest.fixture
@@ -59,6 +61,41 @@ def test_frag0_layer_catalog(frag0, frag0_struct):
     for bad in ((1, 0), (2, 0)):
         f = PFunc.from_pairs(zip((o("3"), o("w+3")), bad))
         assert not in_family(frag0, f)
+
+
+def test_layer_catalog_matches_oracle():
+    rng = random.Random(1311)
+    caps, rejected = set(), 0
+    for height in range(1, 5):
+        frag = grown_condition(rng, height).frag
+        points = block_points(frag)
+        for n in range(1, 5):
+            cap = 1 + (4 * (height - 1) + n - 1) % 6
+            caps.add(cap)
+            u = normalize_u(rng.sample(points, n))
+            layer = enumerate_layer(CStructure(frag, cap, SetElement(())), u)
+            expected = oracle_layer_catalog(frag, u, cap)
+            assert layer.catalog == expected, (height, u, cap)
+            assert [layer.index_of(layer.func_at(i)) for i in range(len(layer))] == list(
+                range(len(layer))
+            )
+            f = layer.func_at(rng.randrange(len(layer)))
+            # a wrong domain: one element fewer, or one element swapped for another point
+            assert layer.index_of(f.restrict(u[1:])) is None
+            outsider = next(x for x in points if x not in u)
+            assert layer.index_of(PFunc.from_pairs(((outsider, 0),) + f.entries[1:])) is None
+            # a value above the cap, first or last, whose code would name another entry
+            for k in (0, n - 1):
+                entries = list(f.entries)
+                entries[k] = (entries[k][0], cap + 1)
+                assert layer.index_of(PFunc(tuple(entries))) is None
+            # every function with values within the cap that the family rejects
+            for values in product(range(cap + 1), repeat=n):
+                g = PFunc(tuple(zip(u, values)))
+                if g not in expected:
+                    rejected += 1
+                    assert layer.index_of(g) is None
+    assert caps == set(range(1, 7)) and rejected > 0
 
 
 def test_layer_too_large_guard(frag0):
