@@ -24,6 +24,7 @@ from .structures import (
     SetElement,
     StructureError,
     ValueCapError,
+    _validate_element,
     check_partial_iso_report,
     element_from_json,
     element_sort_key,
@@ -82,8 +83,10 @@ def play_ef(
 ) -> EFTranscript:
     """Referee the game; any illegal response loses at that round with a reason.
 
-    The previous map has passed the full check, so each round checks only
-    the new pairs with ``extends_partial_iso``; when they break the map,
+    A challenge outside the structures is an input error, not a loss: it
+    raises ``EFGameError`` before the defender is asked.  The previous map
+    has passed the full check, so each round checks only the new pairs with
+    ``extends_partial_iso``; when they break the map,
     ``check_partial_iso_report`` on the whole map gives the reason.
     """
     if a_struct.frag is not b_struct.frag and a_struct.frag != b_struct.frag:
@@ -95,6 +98,10 @@ def play_ef(
         ca, cb = tuple(ca), tuple(cb)
         if len(ca) > config.move_cap or len(cb) > config.move_cap:
             raise EFGameError(f"challenger exceeded the move cap at round {j}")
+        for struct, e in [(a_struct, x) for x in ca] + [(b_struct, y) for y in cb]:
+            error = _validate_element(struct, e)
+            if error is not None:
+                raise EFGameError(f"illegal challenge at round {j}: {error}")
         psi = exists_player.respond(ca, cb)
         reason = None
         if not isinstance(psi, Mapping):
@@ -103,7 +110,7 @@ def play_ef(
             reason = "response does not extend the previous one"
         elif any(x not in psi for x in ca):
             reason = "challenge on the first structure not covered by the domain"
-        elif any(y not in set(psi.values()) for y in cb):
+        elif not set(cb) <= set(psi.values()):
             reason = "challenge on the second structure not covered by the range"
         elif not extends_partial_iso(prev, psi, a_struct, b_struct):
             reason = check_partial_iso_report(psi, a_struct, b_struct)[0]
@@ -139,9 +146,7 @@ class EFExistsPlayer:
         merged = sorted(set(ca) | set(cb), key=element_sort_key)
         ords = [e for e in merged if isinstance(e, OrdElement)]
         sets = [e for e in merged if isinstance(e, SetElement)]
-        fresh = sorted(
-            {x for e in sets for x in e.u} - self.fed, key=lambda x: x.terms
-        )
+        fresh = sorted({x for e in sets for x in e.u} - self.fed)
         for x in fresh:
             self.sim.respond(x)
             self.fed.add(x)
@@ -233,7 +238,7 @@ def random_forall(
     for k in range(len(extras)):
         layer_chain.append(normalize_u(base_u + tuple(extras[: k + 1])))
 
-    ord_pool = sorted(set(base_u) | set(extras), key=lambda x: x.terms)
+    ord_pool = sorted(set(base_u) | set(extras))
     kinds = [k for k, w in picked.items() for _ in range(w)]
 
     def random_member_set(u: tuple[OrdinalCNF, ...]) -> frozenset[int]:

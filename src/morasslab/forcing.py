@@ -209,7 +209,7 @@ class PairEmbedding:
                             add(zeta0, left_subtract(plo, s)),
                         )
                     )
-        out.sort(key=lambda p: p[0].terms)
+        out.sort()
         merged: list[tuple[OrdinalCNF, OrdinalCNF, int, OrdinalCNF]] = []
         for lo, hi, beta, zeta0 in out:
             if merged:
@@ -371,7 +371,7 @@ def extend_to_cover(
 
 
 def _leading_exponent(x: OrdinalCNF) -> int:
-    return x.terms[0][0] if x.terms else 0
+    return x[0][0] if x else 0
 
 
 def verify_lower_bound(q: Condition, chain: Sequence[Condition]) -> ValidationReport:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import le
 from typing import Iterable, Sequence
 
 from . import intervals
@@ -87,7 +88,7 @@ def compose_piece_lists(outer: Sequence[Piece], inner: Sequence[Piece]) -> tuple
                 src_hi = add(lo, left_subtract(img, e))
                 dst = add(oimg, left_subtract(olo, s))
                 result.append((src_lo, src_hi, dst))
-    result.sort(key=lambda p: p[0].terms)
+    result.sort()
     return merge_pieces(result)
 
 
@@ -153,9 +154,6 @@ class MapNF:
 
     def is_identity(self) -> bool:
         return self.pieces == ((ZERO, self.source_theta, ZERO),) or not self.pieces
-
-    def sort_key(self):
-        return tuple((lo.terms, hi.terms, img.terms) for lo, hi, img in self.pieces)
 
 
 def identity_map(theta: OrdinalCNF, target: OrdinalCNF | None = None) -> MapNF:
@@ -236,7 +234,7 @@ class MorassFragment:
             )
         if shift == ident:
             return (ident,)
-        return tuple(sorted({ident, shift}, key=MapNF.sort_key))
+        return tuple(sorted({ident, shift}, key=lambda m: m.pieces))
 
     @cached_property
     def _step_errors(self) -> tuple[str | None, ...]:
@@ -270,7 +268,7 @@ def family(frag: MorassFragment, alpha: int, beta: int) -> tuple[MapNF, ...]:
     for step in range(alpha, beta):
         succ = frag.successor_family(step)
         maps = {compose(g, f) for f in maps for g in succ}
-    return tuple(sorted(maps, key=MapNF.sort_key))
+    return tuple(sorted(maps, key=lambda m: m.pieces))
 
 
 @dataclass(frozen=True)
@@ -287,11 +285,19 @@ class ValidationReport:
 
 
 def validate_fragment(frag: MorassFragment) -> ValidationReport:
-    """Check level arithmetic and the successor family of every level.
+    """Check the level arithmetic of every level.
+
+    An ill-formed successor family needs no line of its own: the level's
+    arithmetic then fails too.  ``successor_family`` raises only when
+    gamma > theta, and then theta < gamma + eta; or when
+    theta + (theta - gamma) != theta_{alpha+1}, which covers an identity
+    overshooting theta_{alpha+1}.  Then either theta != gamma + eta, or
+    eta = theta - gamma (the unique c with gamma + c = theta) and so
+    theta_{alpha+1} != theta + eta.
 
     Fullness, that the maps from level alpha to level beta jointly cover
-    [0, theta_beta), needs no check: it holds at every pair whose steps
-    have well-formed families.  At such a step the identity covers
+    [0, theta_beta), needs no check either: it holds at every pair whose
+    steps have well-formed families.  At such a step the identity covers
     [0, theta_alpha), and the shift covers [theta_alpha, theta_{alpha+1})
     because ``successor_family`` checks that its target is theta_{alpha+1};
     so the step's maps cover the whole next level.  By induction on beta,
@@ -310,9 +316,6 @@ def validate_fragment(frag: MorassFragment) -> ValidationReport:
             violations.append(f"level {alpha}: successor violation theta_{alpha + 1} != theta + eta")
     if frag.height >= 0 and not is_limit(frag.top_theta) and not frag.top_theta.is_zero():
         violations.append(f"top theta {frag.top_theta} is not a limit ordinal")
-    for alpha, error in enumerate(frag._step_errors):
-        if error is not None:
-            violations.append(f"level {alpha}: successor family ill-formed: {error}")
     notes = ("factoring: vacuously true at finite height (no limit level indices)",)
     return ValidationReport(tuple(violations), notes)
 
@@ -351,9 +354,7 @@ def predecessor(frag: MorassFragment, alpha: int, xi: OrdinalCNF) -> OrdinalCNF:
 
 def preceq(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> bool:
     """xi below eta at every level: predecessor(a, xi) <= predecessor(a, eta) for all a."""
-    vx = predecessor_vector(frag, xi)
-    vy = predecessor_vector(frag, eta)
-    return all(x.terms <= y.terms for x, y in zip(vx, vy))
+    return all(map(le, predecessor_vector(frag, xi), predecessor_vector(frag, eta)))
 
 
 def preceq_at(frag: MorassFragment, alpha: int, xi: OrdinalCNF, eta: OrdinalCNF) -> bool:
@@ -364,12 +365,14 @@ def preceq_at(frag: MorassFragment, alpha: int, xi: OrdinalCNF, eta: OrdinalCNF)
     """
     if alpha < 0:
         raise LevelIndexError("negative level")
-    vx = predecessor_vector(frag, xi)
-    vy = predecessor_vector(frag, eta)
-    if any(x.terms > y.terms for x, y in zip(vx, vy)):
-        return False
-    pin = min(alpha, frag.height)
-    return vx[pin] == vy[pin]
+    vx, vy = predecessor_vector(frag, xi), predecessor_vector(frag, eta)
+    return preceq_at_vectors(frag.height, alpha, vx, vy)
+
+
+def preceq_at_vectors(height: int, alpha: int, vx: tuple, vy: tuple) -> bool:
+    """preceq_at on the predecessor vectors of two elements of a height-``height`` fragment."""
+    pin = min(alpha, height)
+    return vx[pin] == vy[pin] and all(map(le, vx, vy))
 
 
 def mu(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:
@@ -393,8 +396,8 @@ def mu(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:
         if error is not None:
             raise MorassError(error)
         level = frag.levels[beta]
-        theta, gamma = level.theta.terms, level.gamma.terms
-        x, y = vx[beta + 1].terms, vy[beta + 1].terms
+        theta, gamma = level.theta, level.gamma
+        x, y = vx[beta + 1], vy[beta + 1]
         in_identity = x < theta and y < theta
         in_shift = (x < gamma or x >= theta) and (y < gamma or y >= theta)
         if not (in_identity or in_shift):

@@ -2,15 +2,14 @@
 
 An ordinal is a finite sum ``w^e1*c1 + ... + w^ek*ck`` with strictly
 decreasing natural exponents and positive integer coefficients; zero is
-the empty sum.  The representation is canonical: equal ordinals have
-identical term sequences, so structural equality is value equality.
+the empty sum.  An ``OrdinalCNF`` is the tuple of its terms ``(e, c)``.
+The form is canonical and tuple order on it is ordinal order, so the
+tuple's equality, hash and order are the ordinal's.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import total_ordering
 
 from .jsonshape import expect
 
@@ -27,19 +26,31 @@ class OrdinalParseError(OrdinalError):
     """Raised on text that is not a canonical ordinal expression."""
 
 
-@total_ordering
-@dataclass(frozen=True)
-class OrdinalCNF:
-    terms: tuple[tuple[int, int], ...] = ()
+class OrdinalCNF(tuple):
+    """An ordinal as its term tuple; tuple order is ordinal order (see ``compare``).
 
-    def __post_init__(self) -> None:
+    ``ZERO`` is the empty tuple, so it is falsy and equals ``()``; ``len``
+    counts terms.  ``x + y`` is ``add`` and ``x * n`` is ``nat_multiply``;
+    ``n * x`` raises.  A plain tuple on the left of ``+`` still concatenates,
+    as ``add`` and ``left_subtract`` need.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, terms: tuple[tuple[int, int], ...] = ()) -> "OrdinalCNF":
         prev = None
-        for exp, coeff in self.terms:
+        for exp, coeff in terms:
             if exp < 0 or coeff < 1:
                 raise OrdinalError(f"bad CNF term ({exp}, {coeff})")
             if prev is not None and exp >= prev:
                 raise OrdinalError("CNF exponents must be strictly decreasing")
             prev = exp
+        return super().__new__(cls, terms)
+
+    @property
+    def terms(self) -> "OrdinalCNF":
+        """The ordinal itself; the benchmark under ``perfbench/`` still reads ``.terms``."""
+        return self
 
     @classmethod
     def from_int(cls, n: int) -> "OrdinalCNF":
@@ -48,16 +59,16 @@ class OrdinalCNF:
         return cls(((0, n),)) if n else cls()
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def __lt__(self, other: "OrdinalCNF") -> bool:
-        return self.terms < other.terms
+        return not self
 
     def __add__(self, other: "OrdinalCNF") -> "OrdinalCNF":
         return add(self, other)
 
     def __mul__(self, n: int) -> "OrdinalCNF":
         return nat_multiply(self, n)
+
+    def __rmul__(self, n: int):
+        raise TypeError("multiply an ordinal on the right: x * n")
 
     def __str__(self) -> str:
         return render_ordinal(self)
@@ -78,59 +89,53 @@ def compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
     exponent dominates, then a higher coefficient, and an extension of a
     common prefix is strictly larger.
     """
-    if a.terms == b.terms:
-        return 0
-    return -1 if a.terms < b.terms else 1
+    return (a > b) - (a < b)
 
 
 def add(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
     """Ordinal sum; terms of `a` below the lead exponent of `b` are absorbed."""
-    if not b.terms:
+    if not b:
         return a
-    lead = b.terms[0][0]
-    kept = [t for t in a.terms if t[0] > lead]
-    carry = 0
-    if len(kept) < len(a.terms) and a.terms[len(kept)][0] == lead:
-        carry = a.terms[len(kept)][1]
-    merged = (lead, carry + b.terms[0][1])
-    return OrdinalCNF(tuple(kept) + (merged,) + b.terms[1:])
+    lead, coeff = b[0]
+    kept = [t for t in a if t[0] > lead]
+    if len(kept) < len(a) and a[len(kept)][0] == lead:
+        coeff += a[len(kept)][1]
+    return OrdinalCNF(tuple(kept) + ((lead, coeff),) + b[1:])
 
 
 def left_subtract(a: OrdinalCNF, b: OrdinalCNF) -> OrdinalCNF:
     """The unique c with a + c = b, defined for a <= b."""
-    if a.terms > b.terms:
+    if a > b:
         raise OrdinalUnderflowError(f"left_subtract: {a} > {b}")
-    if a.terms == b.terms:
-        return ZERO
     i = 0
-    while i < len(a.terms) and a.terms[i] == b.terms[i]:
+    while i < len(a) and a[i] == b[i]:
         i += 1
-    if i == len(a.terms):
-        return OrdinalCNF(b.terms[i:])
-    (ea, ca), (eb, cb) = a.terms[i], b.terms[i]
-    if ea == eb:
-        # ca < cb here since a < b at the first differing term
-        return OrdinalCNF(((eb, cb - ca),) + b.terms[i + 1:])
-    return OrdinalCNF(b.terms[i:])
+    if i < len(a) and a[i][0] == b[i][0]:
+        # a < b, so a's coefficient is the smaller at the first differing term
+        return OrdinalCNF(((b[i][0], b[i][1] - a[i][1]),) + b[i + 1:])
+    return OrdinalCNF(b[i:])
 
 
 def nat_multiply(a: OrdinalCNF, n: int) -> OrdinalCNF:
-    """`a` added to itself n times (n a natural number)."""
+    """`a` added to itself n times (n a natural number).
+
+    Each copy of `a` absorbs all but the lead term of the sum before it, so
+    only the lead coefficient is multiplied.
+    """
     if n < 0:
         raise OrdinalError("multiplier must be a natural number")
-    out = ZERO
-    for _ in range(n):
-        out = add(out, a)
-    return out
+    if not a or not n:
+        return ZERO
+    return OrdinalCNF(((a[0][0], a[0][1] * n),) + a[1:])
 
 
 def is_limit(a: OrdinalCNF) -> bool:
     """True iff a != 0 and a has no finite tail.  Zero is neither limit nor successor."""
-    return bool(a.terms) and a.terms[-1][0] >= 1
+    return bool(a) and a[-1][0] >= 1
 
 
 def is_successor(a: OrdinalCNF) -> bool:
-    return bool(a.terms) and a.terms[-1][0] == 0
+    return bool(a) and a[-1][0] == 0
 
 
 _TERM_RE = re.compile(r"w(?:\^(\d+))?(?:\*(\d+))?\Z")
@@ -166,10 +171,10 @@ def parse_ordinal(text: str) -> OrdinalCNF:
 
 
 def render_ordinal(a: OrdinalCNF) -> str:
-    if not a.terms:
+    if not a:
         return "0"
     parts = []
-    for exp, coeff in a.terms:
+    for exp, coeff in a:
         if exp == 0:
             parts.append(str(coeff))
         else:
@@ -191,7 +196,7 @@ def random_ordinal_below(theta: OrdinalCNF, rng, attempts: int = 64) -> OrdinalC
         cand = OrdinalCNF.from_int(rng.randrange(6))
         if cand < theta:
             return cand
-    lead = theta.terms[0][0]
+    lead = theta[0][0]
     for _ in range(attempts):
         width = rng.randint(1, min(2, lead + 1))
         exps = sorted(rng.sample(range(lead + 1), width), reverse=True)

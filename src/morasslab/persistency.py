@@ -21,6 +21,7 @@ from .morass import (
     MorassFragment,
     mu,
     preceq_at,
+    preceq_at_vectors,
     predecessor_pieces,
     predecessor_vector,
     preimage_of_interval,
@@ -52,7 +53,7 @@ class PFunc:
             if k in seen and seen[k] != v:
                 raise PersistencyError(f"conflicting values for {k}")
             seen[k] = v
-        return cls(tuple(sorted(seen.items(), key=lambda kv: kv[0].terms)))
+        return cls(tuple(sorted(seen.items())))
 
     def as_dict(self) -> dict[OrdinalCNF, int]:
         return dict(self.entries)
@@ -111,18 +112,6 @@ def fiber_bound(
     return intervals.first_point(intervals.intersect_all(constraints))
 
 
-def _terms_vector(frag: MorassFragment, xi: OrdinalCNF) -> tuple:
-    return tuple(x.terms for x in predecessor_vector(frag, xi))
-
-
-def _preceq_at_vectors(height: int, alpha: int, vx: tuple, vy: tuple) -> bool:
-    """preceq_at on two predecessor vectors of CNF terms."""
-    if any(a > b for a, b in zip(vx, vy)):
-        return False
-    pin = min(alpha, height)
-    return vx[pin] == vy[pin]
-
-
 def in_family(frag: MorassFragment, f: PFunc) -> bool:
     """Membership test for the fragment's persistent family.
 
@@ -132,13 +121,13 @@ def in_family(frag: MorassFragment, f: PFunc) -> bool:
     """
     for k, _ in f.entries:
         frag.check_element(k)
-    vecs = {k: _terms_vector(frag, k) for k, _ in f.entries}
+    vecs = {k: predecessor_vector(frag, k) for k, _ in f.entries}
     height = frag.height
     for eta, alpha in f.entries:
         for xi, val in f.entries:
             if xi == eta:
                 continue
-            if _preceq_at_vectors(height, alpha, vecs[xi], vecs[eta]) and val != alpha:
+            if preceq_at_vectors(height, alpha, vecs[xi], vecs[eta]) and val != alpha:
                 return False
     fibers: dict[int, set[OrdinalCNF]] = {}
     for k, v in f.entries:
@@ -158,14 +147,14 @@ def admits_key(frag: MorassFragment, f: PFunc, key: OrdinalCNF, value: int) -> b
     """
     frag.check_element(key)
     height = frag.height
-    vk = _terms_vector(frag, key)
+    vk = predecessor_vector(frag, key)
     fiber = {key}
     for xi, val in f.entries:
         if val == value:
             fiber.add(xi)
             continue
-        vx = _terms_vector(frag, xi)
-        if _preceq_at_vectors(height, value, vx, vk) or _preceq_at_vectors(height, val, vk, vx):
+        vx = predecessor_vector(frag, xi)
+        if preceq_at_vectors(height, value, vx, vk) or preceq_at_vectors(height, val, vk, vx):
             return False
     return len(fiber) == 1 or fiber_bound(frag, frozenset(fiber)) is not None
 
@@ -296,13 +285,13 @@ def morass_strategy(frag: MorassFragment) -> MorassExistsPlayer:
 
 def claim_check(history: Sequence[tuple[OrdinalCNF, int]], frag: MorassFragment) -> bool:
     """At every stage, at most one already-used value admits a dominating witness."""
-    for j in range(len(history)):
-        xi_j = history[j][0]
-        candidates = set()
-        for i in range(j):
-            xi_i, alpha_i = history[i]
-            if preceq_at(frag, alpha_i, xi_j, xi_i):
-                candidates.add(alpha_i)
+    vecs = [predecessor_vector(frag, xi) for xi, _ in history]
+    for j, vx in enumerate(vecs):
+        candidates = {
+            alpha_i
+            for (_, alpha_i), vy in zip(history[:j], vecs)
+            if preceq_at_vectors(frag.height, alpha_i, vx, vy)
+        }
         if len(candidates) > 1:
             return False
     return True

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .jsonshape import expect
-from .morass import MorassFragment, predecessor_vector
+from .morass import MorassFragment, preceq_at_vectors, predecessor_vector
 from .ordinal import OrdinalCNF, parse_ordinal, render_ordinal
 from .persistency import PFunc, fiber_bound, morass_strategy
 
@@ -53,8 +53,7 @@ class SetElement:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        keys = [x.terms for x in self.u]
-        if sorted(set(keys)) != keys:
+        if sorted(set(self.u)) != list(self.u):
             raise StructureError("layer domains must be sorted and duplicate-free")
         if any(i < 0 for i in self.members):
             raise StructureError("catalog indices are naturals")
@@ -69,8 +68,8 @@ CElement = OrdElement | SetElement
 
 def element_sort_key(e: CElement):
     if isinstance(e, OrdElement):
-        return (0, e.value.terms, ())
-    return (1, tuple(x.terms for x in e.u), tuple(sorted(e.members)))
+        return (0, e.value, ())
+    return (1, e.u, tuple(sorted(e.members)))
 
 
 class Layer:
@@ -129,7 +128,7 @@ class Layer:
 
 
 def normalize_u(u: Iterable[OrdinalCNF]) -> tuple[OrdinalCNF, ...]:
-    return tuple(sorted(set(u), key=lambda x: x.terms))
+    return tuple(sorted(set(u)))
 
 
 class LayerCache:
@@ -218,10 +217,7 @@ def enumerate_layer(struct: CStructure, u: Iterable[OrdinalCNF]) -> Layer:
 
     def forced(i: int, j: int) -> frozenset[int]:
         """The values a at which f(x_j) = a forces f(x_i) = a."""
-        if any(a > b for a, b in zip(vecs[i], vecs[j])):
-            return frozenset()
-        eq_levels = {b for b in range(height + 1) if vecs[i][b] == vecs[j][b]}
-        return frozenset(a for a in range(base) if min(a, height) in eq_levels)
+        return frozenset(a for a in range(base) if preceq_at_vectors(height, a, vecs[i], vecs[j]))
 
     # rules[k]: for each earlier element j that constrains element k, the
     # values element k may take, as a bit mask indexed by element j's value
@@ -573,7 +569,7 @@ def extends_partial_iso(
 
 def _order_kept(ords: list[tuple[OrdElement, OrdElement]]) -> bool:
     """On distinct ordinals le is strict, so sorted by source the images must ascend."""
-    images = [y.value.terms for _, y in sorted(ords, key=lambda pair: pair[0].value.terms)]
+    images = [y.value for _, y in sorted(ords, key=lambda pair: pair[0].value)]
     return all(a < b for a, b in zip(images, images[1:]))
 
 
@@ -690,7 +686,7 @@ def classify_partial_iso(
 
     shifts: list[tuple[tuple[OrdinalCNF, ...], frozenset | None]] = []
     is_shift_family = True
-    for u, pairs in sorted(by_layer.items(), key=lambda kv: tuple(x.terms for x in kv[0])):
+    for u, pairs in sorted(by_layer.items()):
         witnesses = set()
         for x, y in pairs:
             if not isinstance(y, SetElement) or y.u != u:

@@ -79,10 +79,10 @@ def grown_condition(rng: random.Random, height: int, max_top: int = 80):
 
 def block_points(frag):
     """Points in every w-block of a universe w*k, and at and just above every split and theta."""
-    ((exp, k),) = frag.top_theta.terms
+    ((exp, k),) = frag.top_theta
     assert exp == 1, "grown universes are w*k"
     points = {omega_times(j, i) for j in range(k) for i in (0, 1, 5)}
     for level in frag.levels:
         for bound in (level.gamma, level.theta):
             points.update(x for x in (bound, bound + OrdinalCNF.from_int(1)) if x < frag.top_theta)
-    return sorted(points, key=lambda x: x.terms)
+    return sorted(points)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import product
+from operator import le
 
 from morasslab.intervals import normalize
 from morasslab.morass import MapNF, MorassError, MorassFragment, compose, identity_map
@@ -51,7 +52,7 @@ def order_type_of_blocks(blocks: tuple) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def pair_of_cnf(x: OrdinalCNF) -> tuple[int, int]:
     k = m = 0
-    for exp, coeff in x.terms:
+    for exp, coeff in x:
         if exp == 1:
             k = coeff
         elif exp == 0:
@@ -81,13 +82,18 @@ def oracle_compare(a: OrdinalCNF, b: OrdinalCNF) -> int:
 
 def oracle_left_subtract(a: OrdinalCNF, b: OrdinalCNF, k_max: int = 9, m_max: int = 40):
     """All c in a finite grid with a + c = b, computed by block concatenation."""
-    hits = []
+    return list(_grid_sums(a, k_max, m_max).get(b, ()))
+
+
+@lru_cache(maxsize=None)
+def _grid_sums(a: OrdinalCNF, k_max: int, m_max: int) -> dict:
+    """Every sum a + c over the grid of c = w*k + m, to the c giving it, in grid order."""
+    sums: dict = {}
     for k in range(k_max):
         for m in range(m_max):
             c = cnf_of_pair(k, m)
-            if oracle_add(a, c) == b:
-                hits.append(c)
-    return hits
+            sums.setdefault(oracle_add(a, c), []).append(c)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +140,20 @@ def oracle_predecessor(frag: MorassFragment, alpha: int, xi: OrdinalCNF) -> Ordi
     return next(iter(values))
 
 
+@lru_cache(maxsize=1 << 16)
+def oracle_predecessor_vector(frag: MorassFragment, xi: OrdinalCNF) -> tuple[OrdinalCNF, ...]:
+    """The family-search predecessors of xi at levels 0..height."""
+    return tuple(oracle_predecessor(frag, a, xi) for a in range(frag.height + 1))
+
+
 def oracle_preceq(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> bool:
-    return all(
-        oracle_predecessor(frag, a, xi) <= oracle_predecessor(frag, a, eta)
-        for a in range(frag.height + 1)
-    )
+    return all(map(le, oracle_predecessor_vector(frag, xi), oracle_predecessor_vector(frag, eta)))
 
 
 def oracle_preceq_at(frag: MorassFragment, alpha: int, xi: OrdinalCNF, eta: OrdinalCNF) -> bool:
     pin = min(alpha, frag.height)
-    return oracle_preceq(frag, xi, eta) and (
-        oracle_predecessor(frag, pin, xi) == oracle_predecessor(frag, pin, eta)
-    )
+    vx, vy = oracle_predecessor_vector(frag, xi), oracle_predecessor_vector(frag, eta)
+    return vx[pin] == vy[pin] and all(map(le, vx, vy))
 
 
 def oracle_mu(frag: MorassFragment, xi: OrdinalCNF, eta: OrdinalCNF) -> int:

@@ -134,6 +134,30 @@ def test_play_ef_scripted_first_move(tmp_path, capsys):
     assert len(empty_to_star[0][1]["members"]) == 1
 
 
+@pytest.mark.parametrize(
+    "tasks, challenge, message",
+    [
+        # the w*2 universe of a built condition has no w*5
+        ([[1, "0"]], {"ord": "w*5"}, "Ord(w*5) outside the ordinal part"),
+        # the 25-entry layer over 0,1 of the seed condition has no index 31
+        (None, {"layer": ["0", "1"], "members": ["11111"]}, "Set[0,1][31] has members outside the layer catalog"),
+    ],
+)
+def test_play_ef_challenge_outside_structures_is_input_error(tmp_path, capsys, tasks, challenge, message):
+    script = tmp_path / "script.json"
+    write_json(script, [{"a": [challenge]}])
+    args = ["play-ef", "--adversary", "script", "--script", str(script)]
+    if tasks is not None:
+        cond = tmp_path / "cond.json"
+        write_json(tmp_path / "tasks.json", tasks)
+        assert cli.main(["build", str(tmp_path / "tasks.json"), "-o", str(cond)]) == 0
+        args += ["--condition", str(cond)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "outcome" not in captured.out
+    assert captured.err == f"error: illegal challenge at round 0: {message}\n"
+
+
 def test_play_ef_random_deterministic(tmp_path):
     t1 = tmp_path / "a.json"
     t2 = tmp_path / "b.json"

@@ -313,10 +313,7 @@ def _planters(a_struct, rng):
             return psi
         x = rng.choice(new)
         y = psi[x]
-        others = sorted(
-            {z.u for z in psi.values() if isinstance(z, SetElement)} - {y.u},
-            key=lambda u: tuple(e.terms for e in u),
-        )
+        others = sorted({z.u for z in psi.values() if isinstance(z, SetElement)} - {y.u})
         if not others:
             return psi
         u = rng.choice(others)

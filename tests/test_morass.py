@@ -102,8 +102,34 @@ def test_validate_pass(frag0, tower3, mixed_fragment):
 def test_validate_successor_violation():
     frag = MorassFragment(1, (LevelData(OMEGA, ZERO, OMEGA),), o("w*3"))
     report = validate_fragment(frag)
-    assert any("successor violation" in v for v in report.violations)
-    assert "level 0: successor family ill-formed: level 0: shift target w*2 != theta_1 w*3" in report.violations
+    assert "level 0: successor violation theta_1 != theta + eta" in report.violations
+    assert not any("successor family ill-formed" in v for v in report.violations)
+
+
+def test_ill_formed_step_breaks_level_arithmetic():
+    """Every step whose successor family is ill-formed has an arithmetic violation at its level."""
+    rng = random.Random(2044)
+    pool = [o(t) for t in ("0", "w", "w*2", "w*3", "w*4", "w^2", "w^2+w", "w^2*2")]
+    ill_formed = 0
+    for _ in range(3000):
+        height = rng.randint(1, 3)
+        levels = []
+        theta = rng.choice(pool[1:])
+        for _ in range(height):
+            gamma, eta = rng.choice(pool), rng.choice(pool)
+            if rng.random() < 0.5:
+                theta = gamma + eta
+            levels.append(LevelData(theta, gamma, eta))
+            theta = theta + eta if rng.random() < 0.5 else rng.choice(pool[1:])
+        frag = MorassFragment(height, tuple(levels), theta)
+        violations = validate_fragment(frag).violations
+        for alpha, error in enumerate(frag._step_errors):
+            if error is not None:
+                ill_formed += 1
+                assert f"level {alpha}: theta != gamma + eta" in violations or (
+                    f"level {alpha}: successor violation theta_{alpha + 1} != theta + eta" in violations
+                )
+    assert ill_formed > 1000
 
 
 def test_validate_fullness_failure_when_shift_omitted(monkeypatch):

@@ -1,3 +1,6 @@
+import random
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +17,7 @@ from morasslab.ordinal import (
     is_successor,
     left_subtract,
     nat_multiply,
+    omega_times,
     parse_ordinal,
     render_ordinal,
 )
@@ -57,6 +61,12 @@ def test_nat_multiply_examples():
     # repeated addition cross-checked by the concatenation oracle
     assert oracle_add(o("w+1"), o("w+1")) == o("w*2+1")
     assert nat_multiply(o("w+1"), 2) == o("w*2+1")
+    # the closed form is repeated addition
+    for a in (ZERO, o("1"), OMEGA, o("w+2"), o("w^2*3+w+1")):
+        total = ZERO
+        for n in range(7):
+            assert nat_multiply(a, n) == total
+            total = add(total, a)
 
 
 def test_is_limit_examples():
@@ -68,10 +78,43 @@ def test_is_limit_examples():
 
 
 def test_canonical_form_rejected_when_invalid():
-    with pytest.raises(OrdinalError):
-        OrdinalCNF(((1, 1), (1, 2)))
-    with pytest.raises(OrdinalError):
-        OrdinalCNF(((0, 0),))
+    for bad in (((1, 1), (1, 2)), ((0, 0),), ((-1, 1),), ((0, 1), (1, 1)), ((2, 1), (1, -3))):
+        with pytest.raises(OrdinalError):
+            OrdinalCNF(bad)
+
+
+def test_tuple_order_equality_and_hash_are_ordinal():
+    """On the criterion-8 grid, tuple <, ==, hash and sorted agree with compare and the oracle."""
+    grid = [omega_times(j, i) for j in range(8) for i in range(25)]
+    copies = [parse_ordinal(render_ordinal(a)) for a in grid]
+    for a in grid:
+        for b in copies:
+            c = compare(a, b)
+            assert c == oracle_compare(a, b)
+            assert (a < b) == (c < 0) and (a == b) == (c == 0)
+            if c == 0:
+                assert hash(a) == hash(b)
+    shuffled = random.Random(8).sample(grid, len(grid))
+    assert sorted(shuffled) == sorted(shuffled, key=cmp_to_key(oracle_compare)) == grid
+    assert len(set(shuffled)) == len(grid)
+
+
+def test_operators_are_ordinal_arithmetic():
+    sample = [ZERO, o("1"), o("5"), OMEGA, o("w+2"), o("w^2*3+w"), o("w^3+4")]
+    for x in sample:
+        for y in sample:
+            assert x + y == add(x, y)
+            assert type(x + y) is OrdinalCNF
+        assert x * 3 == nat_multiply(x, 3)
+        with pytest.raises(TypeError):
+            3 * x
+    # a plain tuple on the left still concatenates, as add and left_subtract need
+    assert () + OMEGA == ((1, 1),) and type(() + OMEGA) is tuple
+
+
+def test_zero_is_the_empty_tuple():
+    assert not ZERO and ZERO.is_zero() and len(ZERO) == 0 and ZERO == ()
+    assert OMEGA and not OMEGA.is_zero() and len(o("w*2+3")) == 2
 
 
 @settings(derandomize=True, max_examples=200)

@@ -45,3 +45,5 @@ def test_tracer_installs_counts_and_uninstalls(frag0):
     assert structures.Layer.__init__ is layer_init
     assert set(tracer.cache_misses) == set(tracing.CACHES)
     assert all(getattr(morass, name) is fn for name, fn in originals.items())
+    # the tracer counts ordinal comparisons by patching __lt__, which OrdinalCNF inherits from tuple
+    assert mods["ordinal"].OrdinalCNF.__lt__ is tuple.__lt__
